@@ -13,9 +13,12 @@
 // full monitored dispatch (proc → cache → mem → pmu → cct), the raw
 // set-associative cache probe, the sharded columnar CCT merge, and the
 // profio profile encode. Dispatch runs batched (LoadBatch slices of
-// benchDispatchBatch accesses), matching how workloads drive the
-// engine; the simulated outcome is bit-identical at any batch size,
-// which TestBenchWorkStableAcrossBatchSizes pins.
+// benchDispatchBatch accesses); the simulated outcome is bit-identical
+// at any batch size, which TestBenchWorkStableAcrossBatchSizes pins.
+// No workload drives the engine that way: every workload, omp loop,
+// example and command issues its accesses one at a time through
+// Ctx.Load and Ctx.Store, so this row times a path only benchmarks use.
+// Whether to delete the batch path is an open ROADMAP item.
 package experiments
 
 import (
@@ -122,9 +125,8 @@ func benchMachine() *topology.Machine {
 }
 
 // benchDispatchBatch is the slice size the dispatch benchmark hands to
-// LoadBatch — the same order of magnitude the workloads use. Batching
-// only amortizes dispatch overhead; the simulated outcome is identical
-// at batch 1.
+// LoadBatch. Batching only amortizes dispatch overhead; the simulated
+// outcome is identical at batch 1.
 const benchDispatchBatch = 64
 
 // benchDispatchApp drives n loads through one site — the minimal app

@@ -246,9 +246,9 @@ type Engine struct {
 	currentSite   isa.SiteID
 
 	// accessEv is the scratch event handed to hooks, reused across
-	// accesses: hooks must not retain the pointer (the Hook contract),
-	// and accesses never nest, so one buffer removes the per-access
-	// heap allocation the escaping &AccessEvent{...} literal caused.
+	// accesses and filled in place by resolve: hooks must not retain
+	// the pointer (the Hook contract), and accesses never nest, so one
+	// buffer serves every access.
 	accessEv AccessEvent
 
 	// batchEvs is the scratch event slice for batched dispatch, reused
@@ -551,59 +551,24 @@ func (e *Engine) CurrentSite() isa.SiteID { return e.currentSite }
 //
 // This is the per-access hot path of the whole simulator; it avoids
 // deferred closures and heap allocations deliberately. The in-flight
-// marker is cleared on the explicit returns below — Touch's fault
-// handlers run between the assignments, and nothing here panics on
-// degraded inputs (the cache and memory models classify them instead).
+// marker is cleared explicitly at the end — Touch's fault handlers run
+// between the assignments, and nothing here panics on degraded inputs
+// (the cache and memory models classify them instead).
 func (e *Engine) access(t *Thread, site isa.SiteID, addr uint64, isStore bool) {
 	e.currentThread, e.currentSite = t, site
-	home, first, region, regionOK, err := e.as.TouchRegion(addr, isStore, t.Domain)
-	if err != nil {
-		home = topology.NoDomain
-	}
-	res := e.caches.Access(t.CPU, addr, home)
-	lat := res.OnChipLatency
-	switch res.Source {
-	case cache.SrcRemoteCache:
-		e.fabric.RecordTransfer(t.Domain, home)
-		lat += e.fabric.HopLatency(t.Domain, home).Scale(e.linkFactor(t.Domain, home))
-	case cache.SrcLocalDRAM:
-		e.memory.RecordRequest(home)
-		lat += e.memory.DRAMLatency(t.Domain, home).Scale(e.memFactor(home))
-	case cache.SrcRemoteDRAM:
-		e.memory.RecordRequest(home)
-		e.fabric.RecordTransfer(t.Domain, home)
-		lat += e.memory.DRAMLatency(t.Domain, home).Scale(e.memFactor(home))
-		lat += e.fabric.HopLatency(t.Domain, home).Scale(e.linkFactor(t.Domain, home))
-	}
+	ev := &e.accessEv
+	e.resolve(ev, t, site, addr, isStore)
 	// The access itself retires one instruction (1 cycle issue) plus
 	// its memory latency.
 	t.instructions++
 	t.memAccesses++
-	t.cycles += 1 + lat
-	t.regionCycles += 1 + lat
+	t.cycles += 1 + ev.Latency
+	t.regionCycles += 1 + ev.Latency
 	e.totalInstructions++
 	e.totalMemAccesses++
-	if res.Source.IsRemote() {
+	if ev.Source.IsRemote() {
 		e.totalRemote++
-		e.totalRemoteCycles += lat
-	}
-
-	if len(e.hooks) == 0 {
-		e.currentThread, e.currentSite = nil, isa.NoSite
-		return
-	}
-	ev := &e.accessEv
-	*ev = AccessEvent{
-		Thread:      t,
-		Site:        site,
-		EA:          addr,
-		IsStore:     isStore,
-		Source:      res.Source,
-		Home:        home,
-		Latency:     lat,
-		FirstTouch:  first,
-		Region:      region,
-		RegionValid: regionOK,
+		e.totalRemoteCycles += ev.Latency
 	}
 	for _, h := range e.hooks {
 		h.OnAccess(ev)
@@ -632,52 +597,27 @@ func (e *Engine) accessBatch(t *Thread, site isa.SiteID, addrs []uint64, isStore
 	e.currentThread, e.currentSite = t, site
 	needEvs := len(e.hooks) > 0
 	evs := e.batchEvs[:0]
-	if needEvs && cap(evs) < len(addrs) {
-		evs = make([]AccessEvent, 0, len(addrs))
+	if needEvs {
+		if cap(evs) < len(addrs) {
+			evs = make([]AccessEvent, len(addrs))
+		}
+		evs = evs[:len(addrs)]
 	}
 	var (
 		cycles       units.Cycles
 		remote       uint64
 		remoteCycles units.Cycles
 	)
-	for _, addr := range addrs {
-		home, first, region, regionOK, err := e.as.TouchRegion(addr, isStore, t.Domain)
-		if err != nil {
-			home = topology.NoDomain
-		}
-		res := e.caches.Access(t.CPU, addr, home)
-		lat := res.OnChipLatency
-		switch res.Source {
-		case cache.SrcRemoteCache:
-			e.fabric.RecordTransfer(t.Domain, home)
-			lat += e.fabric.HopLatency(t.Domain, home).Scale(e.linkFactor(t.Domain, home))
-		case cache.SrcLocalDRAM:
-			e.memory.RecordRequest(home)
-			lat += e.memory.DRAMLatency(t.Domain, home).Scale(e.memFactor(home))
-		case cache.SrcRemoteDRAM:
-			e.memory.RecordRequest(home)
-			e.fabric.RecordTransfer(t.Domain, home)
-			lat += e.memory.DRAMLatency(t.Domain, home).Scale(e.memFactor(home))
-			lat += e.fabric.HopLatency(t.Domain, home).Scale(e.linkFactor(t.Domain, home))
-		}
-		cycles += 1 + lat
-		if res.Source.IsRemote() {
-			remote++
-			remoteCycles += lat
-		}
+	for i, addr := range addrs {
+		ev := &e.accessEv
 		if needEvs {
-			evs = append(evs, AccessEvent{
-				Thread:      t,
-				Site:        site,
-				EA:          addr,
-				IsStore:     isStore,
-				Source:      res.Source,
-				Home:        home,
-				Latency:     lat,
-				FirstTouch:  first,
-				Region:      region,
-				RegionValid: regionOK,
-			})
+			ev = &evs[i]
+		}
+		e.resolve(ev, t, site, addr, isStore)
+		cycles += 1 + ev.Latency
+		if ev.Source.IsRemote() {
+			remote++
+			remoteCycles += ev.Latency
 		}
 	}
 	n := uint64(len(addrs))
@@ -702,6 +642,47 @@ func (e *Engine) accessBatch(t *Thread, site isa.SiteID, addrs []uint64, isStore
 		}
 	}
 	e.currentThread, e.currentSite = nil, isa.NoSite
+}
+
+// resolve is the memory side of one access by t, shared by access and
+// accessBatch: the page touch, the cache probe, and the DRAM or fabric
+// latency with its contention traffic. It writes the outcome into ev
+// field by field — assigning a composite literal would build the event
+// on the stack and copy it — and assigns every field, so a reused event
+// carries nothing over from the previous access
+// (TestAccessEventFillCoversEveryField fails when a field is added to
+// AccessEvent, as a reminder to fill it here). Callers own the
+// retirement counters and hook delivery.
+func (e *Engine) resolve(ev *AccessEvent, t *Thread, site isa.SiteID, addr uint64, isStore bool) {
+	home, first, region, regionOK, err := e.as.TouchRegion(addr, isStore, t.Domain)
+	if err != nil {
+		home = topology.NoDomain
+	}
+	res := e.caches.Access(t.CPU, addr, home)
+	lat := res.OnChipLatency
+	switch res.Source {
+	case cache.SrcRemoteCache:
+		e.fabric.RecordTransfer(t.Domain, home)
+		lat += e.fabric.HopLatency(t.Domain, home).Scale(e.linkFactor(t.Domain, home))
+	case cache.SrcLocalDRAM:
+		e.memory.RecordRequest(home)
+		lat += e.memory.DRAMLatency(t.Domain, home).Scale(e.memFactor(home))
+	case cache.SrcRemoteDRAM:
+		e.memory.RecordRequest(home)
+		e.fabric.RecordTransfer(t.Domain, home)
+		lat += e.memory.DRAMLatency(t.Domain, home).Scale(e.memFactor(home))
+		lat += e.fabric.HopLatency(t.Domain, home).Scale(e.linkFactor(t.Domain, home))
+	}
+	ev.Thread = t
+	ev.Site = site
+	ev.EA = addr
+	ev.IsStore = isStore
+	ev.Source = res.Source
+	ev.Home = home
+	ev.Latency = lat
+	ev.FirstTouch = first
+	ev.Region = region
+	ev.RegionValid = regionOK
 }
 
 func (e *Engine) memFactor(d topology.DomainID) float64 {
@@ -744,7 +725,7 @@ func (c *Ctx) Store(site isa.SiteID, addr uint64) {
 // LoadBatch retires one load per address in addrs, in order, all at the
 // given instruction site — exactly equivalent to calling Load in a
 // loop, but the engine amortizes dispatch over the slice (see
-// BatchHook). Workload inner loops that stream over an array use this.
+// BatchHook). The workloads do not use it; they issue Load and Store.
 func (c *Ctx) LoadBatch(site isa.SiteID, addrs []uint64) {
 	c.e.accessBatch(c.t, site, addrs, false)
 }

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -97,28 +98,57 @@ func TestAccessAccounting(t *testing.T) {
 	}
 }
 
+// TestFirstTouchVisibleInEvent runs on both delivery paths, which fill
+// engine-owned events in place: the unmapped access after two mapped
+// ones must inherit none of their fields.
 func TestFirstTouchVisibleInEvent(t *testing.T) {
-	e, _, site := testEngine(2)
-	rec := &recorder{}
-	e.AddHook(rec)
-	c := e.Ctx(0)
-	e.BeginRegion("main", e.Threads())
-	r := c.Alloc(site, "a", 4096, nil)
-	c.Store(site, r.Base)
-	c.Load(site, r.Base)
-	e.EndRegion()
+	for _, batched := range []bool{false, true} {
+		e, _, site := testEngine(2)
+		rec := &recorder{}
+		e.AddHook(rec)
+		c := e.Ctx(0)
+		e.BeginRegion("main", e.Threads())
+		c.Alloc(site, "pad", 4096, nil) // so r's ID is not the zero Region's
+		r := c.Alloc(site, "a", 4096, nil)
+		if batched {
+			c.StoreBatch(site, []uint64{r.Base})
+			c.LoadBatch(site, []uint64{r.Base, 0x1})
+		} else {
+			c.Store(site, r.Base)
+			c.Load(site, r.Base)
+			c.Load(site, 0x1)
+		}
+		e.EndRegion()
 
-	if !rec.accesses[0].FirstTouch {
-		t.Error("first access should be a first touch")
+		if len(rec.accesses) != 3 {
+			t.Fatalf("batched=%v: hook saw %d accesses, want 3", batched, len(rec.accesses))
+		}
+		if !rec.accesses[0].FirstTouch {
+			t.Errorf("batched=%v: first access should be a first touch", batched)
+		}
+		if rec.accesses[1].FirstTouch {
+			t.Errorf("batched=%v: second access should not be a first touch", batched)
+		}
+		if rec.accesses[0].Home != 0 {
+			t.Errorf("batched=%v: home = %d, want 0 (thread 0 runs in domain 0)", batched, rec.accesses[0].Home)
+		}
+		if !rec.accesses[0].RegionValid || rec.accesses[0].Region != r {
+			t.Errorf("batched=%v: event should carry the containing allocation", batched)
+		}
+		if ev := rec.accesses[2]; ev.EA != 0x1 || ev.IsStore || ev.FirstTouch ||
+			ev.Home != topology.NoDomain || ev.RegionValid || ev.Region != (vm.Region{}) {
+			t.Errorf("batched=%v: unmapped access event carries stale fields: %+v", batched, ev)
+		}
 	}
-	if rec.accesses[1].FirstTouch {
-		t.Error("second access should not be a first touch")
-	}
-	if rec.accesses[0].Home != 0 {
-		t.Errorf("home = %d, want 0 (thread 0 runs in domain 0)", rec.accesses[0].Home)
-	}
-	if !rec.accesses[0].RegionValid || rec.accesses[0].Region.ID != r.ID {
-		t.Error("event should carry the containing allocation")
+}
+
+// TestAccessEventFillCoversEveryField guards Engine.resolve, which
+// assigns the reused event field by field: a field it missed would
+// carry the previous access's value. A field added to AccessEvent
+// fails this count until resolve assigns it and the count is raised.
+func TestAccessEventFillCoversEveryField(t *testing.T) {
+	if n := reflect.TypeOf(AccessEvent{}).NumField(); n != 10 {
+		t.Fatalf("AccessEvent has %d fields, Engine.resolve assigns 10: fill the new field there, then update this count", n)
 	}
 }
 

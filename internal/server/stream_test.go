@@ -577,15 +577,26 @@ func TestStreamMetricsExposed(t *testing.T) {
 	if _, err := c.Follow(ctx, st.ID, nil); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	// The handler releases its subscriber slot in a defer that runs
+	// after the terminal event is flushed, so Follow can return before
+	// the gauge drops: poll for it rather than reading it once.
+	deadline := time.Now().Add(30 * time.Second)
+	var ms MetricsSnapshot
+	for {
+		var err error
+		if ms, err = c.Metrics(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if ms.Streaming.Subscribers == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("subscriber gauge should be back to 0, got %d", ms.Streaming.Subscribers)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 	if ms.Streaming.Events == 0 || ms.Streaming.Snapshots == 0 {
 		t.Fatalf("streaming metrics empty: %+v", ms.Streaming)
-	}
-	if ms.Streaming.Subscribers != 0 {
-		t.Fatalf("subscriber gauge should be back to 0, got %d", ms.Streaming.Subscribers)
 	}
 	if _, ok := ms.LatencyUs["stream_snapshot"]; !ok {
 		t.Fatal("stream_snapshot latency histogram missing")

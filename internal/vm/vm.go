@@ -17,7 +17,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/topology"
@@ -159,18 +158,29 @@ func (r Region) Valid() bool { return r.Size > 0 }
 
 // page holds per-page state.
 type page struct {
-	home    topology.DomainID
+	home topology.DomainID
+	// region is the ID of the allocation owning the page, or noRegion
+	// for guard pages and pages of freed allocations.
+	region  int32
 	prot    Protection
 	touched bool
 }
+
+// noRegion marks a page-table entry no live allocation owns.
+const noRegion = -1
 
 // AddressSpace is the simulated process's virtual memory.
 type AddressSpace struct {
 	mu   sync.Mutex
 	topo *topology.Machine
 
-	next    uint64 // bump allocator cursor, page aligned
-	pages   map[uint64]*page
+	next uint64 // bump allocator cursor, page aligned
+	// pages is the dense page table: pages[i] describes the page at
+	// heapBase + i*PageSize. The bump allocator keeps the heap
+	// contiguous, so the table covers every page handed out, guard
+	// pages included, and resolving an address is one index — the
+	// per-access path does no map lookup and no region search.
+	pages   []page
 	regions []Region
 	// policies[regionID] homes pages of that region on first touch.
 	policies []Policy
@@ -180,8 +190,8 @@ type AddressSpace struct {
 
 	handler FaultHandler
 
-	// freed regions by ID, for use-after-free detection.
-	freed map[int]bool
+	// freed[regionID] marks freed regions, for use-after-free detection.
+	freed []bool
 }
 
 // ErrOutOfRange is returned by operations on addresses outside any
@@ -189,16 +199,17 @@ type AddressSpace struct {
 var ErrOutOfRange = errors.New("vm: address outside any allocation")
 
 // heapBase is where the simulated heap starts; a nonzero base keeps
-// address 0 invalid, like a real process image.
+// address 0 invalid, like a real process image. It is page aligned.
 const heapBase = 0x10000
+
+// heapPage is the page number of heapBase: page table index 0.
+const heapPage = heapBase >> units.PageShift
 
 // NewAddressSpace creates an empty address space for a machine.
 func NewAddressSpace(topo *topology.Machine) *AddressSpace {
 	as := &AddressSpace{
-		topo:  topo,
-		next:  heapBase,
-		pages: make(map[uint64]*page),
-		freed: make(map[int]bool),
+		topo: topo,
+		next: heapBase,
 	}
 	for d := 0; d < topo.NumDomains(); d++ {
 		as.allDomains = append(as.allDomains, topology.DomainID(d))
@@ -242,6 +253,11 @@ func (as *AddressSpace) Alloc(size uint64, policy Policy) Region {
 	r := Region{Base: base, Size: size, ID: len(as.regions)}
 	as.regions = append(as.regions, r)
 	as.policies = append(as.policies, policy)
+	as.freed = append(as.freed, false)
+	for i := uint64(0); i < nPages; i++ {
+		as.pages = append(as.pages, page{home: topology.NoDomain, region: int32(r.ID), prot: ProtRW})
+	}
+	as.pages = append(as.pages, page{home: topology.NoDomain, region: noRegion, prot: ProtRW})
 	return r
 }
 
@@ -257,10 +273,13 @@ func (as *AddressSpace) Free(r Region) {
 		return
 	}
 	as.freed[r.ID] = true
-	first := units.PageOf(r.Base)
-	last := units.PageOf(r.End() - 1)
+	// Clear the pages of the allocation as recorded, so a caller's
+	// stale or forged Region cannot reset another allocation's pages.
+	live := as.regions[r.ID]
+	first := units.PageOf(live.Base) - heapPage
+	last := units.PageOf(live.End()-1) - heapPage
 	for p := first; p <= last; p++ {
-		delete(as.pages, p)
+		as.pages[p] = page{home: topology.NoDomain, region: noRegion, prot: ProtRW}
 	}
 }
 
@@ -268,29 +287,45 @@ func (as *AddressSpace) Free(r Region) {
 func (as *AddressSpace) Freed(r Region) bool {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	return as.freed[r.ID]
+	return r.ID >= 0 && r.ID < len(as.freed) && as.freed[r.ID]
 }
 
 // RegionOf returns the allocation containing addr.
 func (as *AddressSpace) RegionOf(addr uint64) (Region, bool) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	return as.regionOfLocked(addr)
+	_, r, ok := as.regionOfLocked(addr)
+	return r, ok
 }
 
-func (as *AddressSpace) regionOfLocked(addr uint64) (Region, bool) {
-	// Regions are allocated at increasing bases, so binary search.
-	i := sort.Search(len(as.regions), func(i int) bool {
-		return as.regions[i].Base > addr
-	})
-	if i == 0 {
-		return Region{}, false
+// regionOfLocked resolves addr to its page-table entry and the live
+// allocation containing it. Guard pages, freed allocations, the tail of
+// an allocation's last page past its Size, and addresses outside the
+// table all report false.
+func (as *AddressSpace) regionOfLocked(addr uint64) (*page, Region, bool) {
+	pg := as.pageLocked(addr)
+	if pg == nil || pg.region == noRegion {
+		return nil, Region{}, false
 	}
-	r := as.regions[i-1]
-	if !r.Contains(addr) || as.freed[r.ID] {
-		return Region{}, false
+	r := as.regions[pg.region]
+	if !r.Contains(addr) {
+		return nil, Region{}, false
 	}
-	return r, true
+	return pg, r, true
+}
+
+// pageLocked returns the page-table entry of the page containing addr,
+// or nil if the page lies below the heap or past the last allocation's
+// guard page.
+func (as *AddressSpace) pageLocked(addr uint64) *page {
+	if addr < heapBase {
+		return nil
+	}
+	i := units.PageOf(addr) - heapPage
+	if i >= uint64(len(as.pages)) {
+		return nil
+	}
+	return &as.pages[i]
 }
 
 // Touch resolves the page containing addr for an access by a thread
@@ -310,34 +345,29 @@ func (as *AddressSpace) Touch(addr uint64, isWrite bool, touchDomain topology.Do
 
 // TouchRegion is Touch fused with RegionOf: one lock acquisition
 // resolves the page and returns the allocation containing addr. The
-// execution engine's batched dispatch uses it — the unfused per-access
-// pipeline pays two lock round-trips and two region binary searches per
-// access, and this is the dominant cost left on that path. Semantics
-// are identical to Touch followed by RegionOf.
+// execution engine resolves every access through it: one lock
+// round-trip and one page-table index, where Touch followed by RegionOf
+// would take the lock twice. Semantics are identical to Touch followed
+// by RegionOf.
 func (as *AddressSpace) TouchRegion(addr uint64, isWrite bool, touchDomain topology.DomainID) (topology.DomainID, bool, Region, bool, error) {
 	for attempt := 0; ; attempt++ {
 		as.mu.Lock()
-		r, ok := as.regionOfLocked(addr)
+		pg, r, ok := as.regionOfLocked(addr)
 		if !ok {
 			as.mu.Unlock()
 			return topology.NoDomain, false, Region{}, false, ErrOutOfRange
 		}
-		pidx := units.PageOf(addr)
-		pg := as.pages[pidx]
-		if pg != nil && pg.prot&ProtRW != ProtRW && as.handler != nil && attempt == 0 {
+		if pg.prot&ProtRW != ProtRW && as.handler != nil && attempt == 0 {
 			h := as.handler
 			as.mu.Unlock()
 			h(Fault{Addr: addr, IsWrite: isWrite, Region: r})
 			continue // retry the faulting access, like the kernel does
 		}
-		if pg == nil {
-			pg = &page{home: topology.NoDomain, prot: ProtRW}
-			as.pages[pidx] = pg
-		}
 		first := !pg.touched
 		if first {
 			pg.touched = true
 			policy := as.policies[r.ID]
+			pidx := units.PageOf(addr)
 			firstPage := units.PageOf(r.Base)
 			nPages := units.PagesSpanned(r.Base, r.Size)
 			home := policy.PlacePage(pidx-firstPage, nPages, touchDomain)
@@ -366,11 +396,11 @@ func (as *AddressSpace) TouchRegion(addr uint64, isWrite bool, touchDomain topol
 func (as *AddressSpace) PageNode(addr uint64) (topology.DomainID, error) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	if _, ok := as.regionOfLocked(addr); !ok {
+	pg, _, ok := as.regionOfLocked(addr)
+	if !ok {
 		return topology.NoDomain, ErrOutOfRange
 	}
-	pg := as.pages[units.PageOf(addr)]
-	if pg == nil || !pg.touched {
+	if !pg.touched {
 		return topology.NoDomain, nil
 	}
 	return pg.home, nil
@@ -381,7 +411,8 @@ func (as *AddressSpace) PageNode(addr uint64) (topology.DomainID, error) {
 // alone, exactly as the tool's allocation wrapper masks only the pages
 // between the first and last page boundaries within the variable's
 // extent (Section 6), because neighbouring data may share the partial
-// pages.
+// pages. Guard pages count like any other page; pages below the heap or
+// past the last allocation's guard page are not mapped and are skipped.
 //
 // It returns the number of pages protected.
 func (as *AddressSpace) Protect(base, size uint64, prot Protection) int {
@@ -392,17 +423,13 @@ func (as *AddressSpace) Protect(base, size uint64, prot Protection) int {
 	defer as.mu.Unlock()
 	ps := uint64(units.PageSize)
 	end := base + size
-	// Full pages are those whose start >= base and end <= end.
-	first := (base + ps - 1) / ps
-	lastFull := end / ps
+	// Full pages are those whose start >= base and end <= end, clamped
+	// to the page table.
+	first := max((base+ps-1)/ps, heapPage)
+	lastFull := min(end/ps, heapPage+uint64(len(as.pages)))
 	n := 0
 	for p := first; p < lastFull; p++ {
-		pg := as.pages[p]
-		if pg == nil {
-			pg = &page{home: topology.NoDomain, prot: ProtRW}
-			as.pages[p] = pg
-		}
-		pg.prot = prot
+		as.pages[p-heapPage].prot = prot
 		n++
 	}
 	return n
@@ -412,17 +439,17 @@ func (as *AddressSpace) Protect(base, size uint64, prot Protection) int {
 func (as *AddressSpace) Unprotect(addr uint64) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	if pg := as.pages[units.PageOf(addr)]; pg != nil {
+	if pg := as.pageLocked(addr); pg != nil {
 		pg.prot = ProtRW
 	}
 }
 
 // ProtectionOf returns the protection of the page containing addr.
-// Untracked pages report ProtRW.
+// Unmapped pages report ProtRW.
 func (as *AddressSpace) ProtectionOf(addr uint64) Protection {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	if pg := as.pages[units.PageOf(addr)]; pg != nil {
+	if pg := as.pageLocked(addr); pg != nil {
 		return pg.prot
 	}
 	return ProtRW

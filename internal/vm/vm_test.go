@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -168,8 +169,33 @@ func TestPageNode(t *testing.T) {
 
 func TestTouchOutOfRange(t *testing.T) {
 	as := NewAddressSpace(testMachine())
-	if _, _, err := as.Touch(0x1, false, 0); err != ErrOutOfRange {
-		t.Fatalf("err = %v, want ErrOutOfRange", err)
+	ps := uint64(units.PageSize)
+	a := as.Alloc(ps+100, nil) // two pages, the second mostly past Size
+	freed := as.Alloc(ps, nil)
+	as.Touch(freed.Base, true, 0)
+	as.Free(freed)
+	last := as.Alloc(10, nil)
+	for _, c := range []struct {
+		name string
+		addr uint64
+	}{
+		{"null page", 0x1},
+		{"last byte below the heap", heapBase - 1},
+		{"guard page", a.Base + 2*ps},
+		{"last page past Size", a.End()},
+		{"freed region", freed.Base},
+		{"page after the last guard page", last.Base + 2*ps},
+		{"far past the last allocation", 1 << 40},
+	} {
+		if _, _, err := as.Touch(c.addr, false, 0); err != ErrOutOfRange {
+			t.Errorf("%s: Touch err = %v, want ErrOutOfRange", c.name, err)
+		}
+		if _, err := as.PageNode(c.addr); err != ErrOutOfRange {
+			t.Errorf("%s: PageNode err = %v, want ErrOutOfRange", c.name, err)
+		}
+		if r, ok := as.RegionOf(c.addr); ok {
+			t.Errorf("%s: RegionOf = %+v, want none", c.name, r)
+		}
 	}
 }
 
@@ -189,14 +215,39 @@ func TestProtectInteriorPagesOnly(t *testing.T) {
 	if as.ProtectionOf(r.Base+ps) != ProtNone {
 		t.Error("first full page should be protected")
 	}
+	for _, addr := range []uint64{0x1, r.Base + 8*ps} {
+		if p := as.ProtectionOf(addr); p != ProtRW {
+			t.Errorf("ProtectionOf(unmapped %#x) = %v, want ProtRW", addr, p)
+		}
+	}
 }
 
 func TestProtectWholePages(t *testing.T) {
-	as := NewAddressSpace(testMachine())
 	ps := uint64(units.PageSize)
-	r := as.Alloc(ps*3, nil)
-	if n := as.Protect(r.Base, ps*3, ProtNone); n != 3 {
-		t.Fatalf("protected %d pages, want 3", n)
+	// Layout from heapBase: a's three pages, a guard page, b's page and
+	// b's guard page; nothing is mapped below it or past it.
+	for _, c := range []struct {
+		name       string
+		base, size uint64
+		want       int
+	}{
+		{"whole region", heapBase, 3 * ps, 3},
+		{"region and its guard page", heapBase, 4 * ps, 4},
+		{"across the guard page into the next region", heapBase + 2*ps, 3 * ps, 3},
+		{"from below the heap", 0, heapBase + ps, 1},
+		{"past the last guard page", heapBase + 4*ps, 4 * ps, 2},
+	} {
+		as := NewAddressSpace(testMachine())
+		if a := as.Alloc(ps*3, nil); a.Base != heapBase {
+			t.Fatalf("first allocation at %#x, want heapBase", a.Base)
+		}
+		as.Alloc(ps, nil)
+		if n := as.Protect(c.base, c.size, ProtNone); n != c.want {
+			t.Errorf("%s: protected %d pages, want %d", c.name, n, c.want)
+		}
+		if p := as.ProtectionOf(max(c.base, heapBase)); p != ProtNone {
+			t.Errorf("%s: first mapped page in range has %v, want ProtNone", c.name, p)
+		}
 	}
 }
 
@@ -250,16 +301,41 @@ func TestNoHandlerIgnoresProtection(t *testing.T) {
 
 func TestFree(t *testing.T) {
 	as := NewAddressSpace(testMachine())
-	r := as.Alloc(uint64(units.PageSize), nil)
-	as.Touch(r.Base, true, 0)
+	ps := uint64(units.PageSize)
+	r := as.Alloc(ps*2, nil)
+	keep := as.Alloc(ps, nil)
+	as.Touch(r.Base, true, 1)
+	as.Touch(r.Base+ps, true, 1)
+	as.Touch(keep.Base, true, 2)
+	as.Protect(r.Base, ps, ProtNone)
 	as.Free(r)
 	if !as.Freed(r) {
 		t.Fatal("region not marked freed")
 	}
+	if as.Freed(keep) {
+		t.Error("live region reported freed")
+	}
+	for _, id := range []int{-1, 99} {
+		if as.Freed(Region{ID: id}) {
+			t.Errorf("Freed(Region{ID: %d}) = true for an ID never allocated", id)
+		}
+	}
 	if _, _, err := as.Touch(r.Base, false, 0); err != ErrOutOfRange {
 		t.Fatalf("touch after free = %v, want ErrOutOfRange", err)
 	}
+	if _, err := as.PageNode(r.Base + ps); err != ErrOutOfRange {
+		t.Fatalf("PageNode after free = %v, want ErrOutOfRange", err)
+	}
+	if p := as.ProtectionOf(r.Base); p != ProtRW {
+		t.Errorf("freed page keeps protection %v, want ProtRW", p)
+	}
+	if got, want := as.DomainPages(), []uint64{0, 0, 1, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("DomainPages after free = %v, want %v (freed pages dropped)", got, want)
+	}
 	as.Free(r) // double free is a no-op
+	if d, err := as.PageNode(keep.Base); err != nil || d != 2 {
+		t.Errorf("surviving region's page = %d, %v; want 2, nil", d, err)
+	}
 }
 
 func TestDomainPages(t *testing.T) {
