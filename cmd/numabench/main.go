@@ -24,7 +24,7 @@
 // A1-A4 (design-choice ablations: sampling period, binning,
 // contention model, scheduling), RB (the robustness scorecard:
 // graceful degradation under injected sampler and file faults), RC
-// (the recovery scorecard: crash recovery, sweep checkpoint resume,
+// (the recovery scorecard: crash recovery, sweep replay,
 // transparent retries, circuit breaking), SC (the reproduction
 // scorecard), and OPT (the optimizer scorecard: the closed-loop
 // advisor autonomously recovering the Section 8 fixes).

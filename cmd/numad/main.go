@@ -68,8 +68,6 @@ type config struct {
 	journal      bool
 	retries      int
 	snapEvery    int
-	ckptEvery    int
-	autotune     bool
 }
 
 func main() {
@@ -86,10 +84,6 @@ func main() {
 	flag.IntVar(&cfg.retries, "retries", 0, "transient-failure retries per job (0: default 3; negative: disable)")
 	flag.IntVar(&cfg.snapEvery, "snapshot-every", 0,
 		"publish a live progress snapshot every N profiling epochs to /api/v1/jobs/{id}/events (0: lifecycle events only)")
-	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 0,
-		"persist a resumable mid-cell checkpoint every N profiling epochs; after a crash the cell resumes from its latest checkpoint (0: off)")
-	flag.BoolVar(&cfg.autotune, "autotune", false,
-		"seed snapshot/checkpoint cadences per workload from recorded convergence history when not set explicitly")
 	logLevel := flag.String("log-level", "",
 		"log level spec, e.g. info or warn,server=debug (overrides $"+telemetry.LogEnvVar+")")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "",
@@ -165,16 +159,14 @@ func run(cfg config) error {
 		defer jl.Close()
 	}
 	srv, err := server.New(server.Options{
-		Store:           st,
-		Workers:         cfg.workers,
-		QueueDepth:      cfg.queueDepth,
-		JobTimeout:      cfg.jobTimeout,
-		TopVars:         cfg.top,
-		Journal:         jl,
-		MaxRetries:      cfg.retries,
-		SnapshotEvery:   cfg.snapEvery,
-		CheckpointEvery: cfg.ckptEvery,
-		Autotune:        cfg.autotune,
+		Store:         st,
+		Workers:       cfg.workers,
+		QueueDepth:    cfg.queueDepth,
+		JobTimeout:    cfg.jobTimeout,
+		TopVars:       cfg.top,
+		Journal:       jl,
+		MaxRetries:    cfg.retries,
+		SnapshotEvery: cfg.snapEvery,
 	})
 	if err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -99,86 +98,6 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	if st := pollTerminal(t, base, id1, time.Second); st.Key != st1.Key {
 		t.Errorf("pre-crash job changed key across restart: %s != %s", st.Key, st1.Key)
 	}
-}
-
-// TestCheckpointResumeAcrossKill is the mid-cell resume acceptance
-// test: a sweep runs under -checkpoint-every 1, the daemon is SIGKILLed
-// once mid-cell checkpoints are durable, and the restarted daemon must
-// finish the sweep by resuming the interrupted cell from its latest
-// checkpoint — cells_resumed > 0, not an epoch-zero recompute — with
-// every cell's served bytes identical to an uninterrupted local run.
-func TestCheckpointResumeAcrossKill(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real daemon processes")
-	}
-	bin := buildDaemon(t)
-	dir := t.TempDir()
-	addr := freeAddr(t)
-	base := "http://" + addr
-
-	daemon := startDaemon(t, bin, addr, dir, "-checkpoint-every", "1")
-	waitHealthy(t, base)
-
-	idSweep := submit(t, base, `{"workload":"blackscholes","strategy":"baseline,interleave,blockwise,guided","iters":6}`)
-
-	// Kill only after a couple of checkpoints are durable (blob written
-	// AND its journal pointer appended), so the restart has something to
-	// resume; the long sweep guarantees the kill lands mid-cell.
-	waitMetric(t, base, 60*time.Second, func(m server.MetricsSnapshot) bool {
-		return m.Recovery.CheckpointsWritten >= 2
-	})
-	if err := daemon.Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	daemon.Wait()
-
-	restarted := startDaemon(t, bin, addr, dir, "-checkpoint-every", "1")
-	defer func() {
-		restarted.Process.Signal(syscall.SIGTERM)
-		restarted.Wait()
-	}()
-	waitHealthy(t, base)
-
-	if st := pollTerminal(t, base, idSweep, 240*time.Second); st.State != server.StateDone {
-		t.Fatalf("sweep after restart: %s (%s)", st.State, st.Error)
-	}
-	var m server.MetricsSnapshot
-	if err := json.Unmarshal(fetch(t, base+"/metrics"), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Recovery.CellsResumed == 0 {
-		t.Error("restart resumed no cells from checkpoint; interrupted work was recomputed from epoch zero")
-	}
-
-	// Byte identity: every cell's stored profile — the resumed one
-	// included — equals an uninterrupted local run of the same spec.
-	// Each probe submission is served from the store (the sweep's own
-	// bytes), so the comparison reads what the resumed cell persisted.
-	for _, strategy := range []string{"baseline", "interleave", "blockwise", "guided"} {
-		id := submit(t, base, fmt.Sprintf(`{"workload":"blackscholes","strategy":%q,"iters":6}`, strategy))
-		if st := pollTerminal(t, base, id, 120*time.Second); st.State != server.StateDone {
-			t.Fatalf("probe job for %s: %s (%s)", strategy, st.State, st.Error)
-		}
-		got := fetch(t, base+"/api/v1/jobs/"+id+"?view=profile")
-		want := refProfile(t, server.Spec{Workload: "blackscholes", Strategy: strategy, Iters: 6})
-		if !bytes.Equal(got, want) {
-			t.Errorf("strategy %s: profile after resume differs from uninterrupted reference", strategy)
-		}
-	}
-}
-
-// waitMetric polls /metrics until ok returns true.
-func waitMetric(t *testing.T, base string, timeout time.Duration, ok func(server.MetricsSnapshot) bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		var m server.MetricsSnapshot
-		if err := json.Unmarshal(fetch(t, base+"/metrics"), &m); err == nil && ok(m) {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("metric condition never became true")
 }
 
 // TestJournalDisabledStartsClean checks -journal=false still boots and

@@ -78,12 +78,6 @@ func main() {
 			"with -submit: stream the job's live events (SSE) and print a progress line per snapshot instead of polling silently")
 		convergeEarly = flag.Bool("converge-early", false,
 			"local only: stop sampling once the profile's metric estimates converge; the report's health block records the early stop")
-		ckptOut = flag.String("checkpoint", "",
-			"local only: write a resumable mid-run checkpoint to this path every -checkpoint-every epochs (atomic; the newest always wins)")
-		ckptEvery = flag.Int("checkpoint-every", 0,
-			"epochs between -checkpoint writes (0 with -checkpoint: every epoch)")
-		resumeFrom = flag.String("resume", "",
-			"local only: resume an interrupted run from a -checkpoint file; the profile is byte-identical to an uninterrupted run")
 		telemetryDir = flag.String("telemetry", "",
 			"self-profile the run: write "+telemetry.TraceFile+" (chrome://tracing), "+
 				telemetry.SpanFile+" and "+telemetry.MetricsFile+" to this directory and print a per-phase summary")
@@ -145,14 +139,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "numaprof: -converge-early is local-only (daemon profiles are cached by spec)")
 		exit(1)
 	}
-	if (*ckptOut != "" || *resumeFrom != "") && *submit != "" {
-		fmt.Fprintln(os.Stderr, "numaprof: -checkpoint/-resume are local-only (the daemon checkpoints via -checkpoint-every on numad)")
-		exit(1)
-	}
-	if (*ckptOut != "" || *resumeFrom != "") && len(names) > 1 {
-		fmt.Fprintln(os.Stderr, "numaprof: -checkpoint/-resume need a single workload")
-		exit(1)
-	}
 
 	if *submit != "" {
 		// Client mode: the daemon runs the jobs; identical specs are
@@ -192,8 +178,7 @@ func main() {
 
 	if len(names) == 1 {
 		if err := run(ctx, os.Stdout, names[0], *mechanism, *machine, *threads, *binding, *strategy,
-			*period, *bins, *iters, *top, *firstT, *showCCT, *doTrace, *convergeEarly, *htmlOut, *profOut, *chaos,
-			ckptFlags{out: *ckptOut, every: *ckptEvery, resume: *resumeFrom}); err != nil {
+			*period, *bins, *iters, *top, *firstT, *showCCT, *doTrace, *convergeEarly, *htmlOut, *profOut, *chaos); err != nil {
 			fmt.Fprintln(os.Stderr, "numaprof:", err)
 			exit(1)
 		}
@@ -212,7 +197,7 @@ func main() {
 	outs, err := sched.MapCtx(ctx, len(names), func(ctx context.Context, i int) (string, error) {
 		var buf bytes.Buffer
 		if err := run(ctx, &buf, names[i], *mechanism, *machine, *threads, *binding, *strategy,
-			*period, *bins, *iters, *top, *firstT, *showCCT, *doTrace, *convergeEarly, "", "", *chaos, ckptFlags{}); err != nil {
+			*period, *bins, *iters, *top, *firstT, *showCCT, *doTrace, *convergeEarly, "", "", *chaos); err != nil {
 			return "", fmt.Errorf("%s: %w", names[i], err)
 		}
 		return buf.String(), nil
@@ -242,16 +227,8 @@ func main() {
 	exit(0)
 }
 
-// ckptFlags carries the local checkpoint/resume surface into run.
-type ckptFlags struct {
-	out    string // -checkpoint: write checkpoints to this path ("": off)
-	every  int    // -checkpoint-every: epochs between writes (<=0: every epoch)
-	resume string // -resume: adopt this checkpoint file ("": off)
-}
-
 func run(ctx context.Context, w io.Writer, workload, mechanism, machine string, threads int, binding, strategy string,
-	period uint64, bins, iters, top int, firstTouch, showCCT, doTrace, convergeEarly bool, htmlOut, profOut, chaos string,
-	ckpt ckptFlags) error {
+	period uint64, bins, iters, top int, firstTouch, showCCT, doTrace, convergeEarly bool, htmlOut, profOut, chaos string) error {
 
 	// The spec-to-config path is shared with the numad daemon
 	// (internal/server), which is what makes a daemon-served profile
@@ -283,28 +260,6 @@ func run(ctx context.Context, w io.Writer, workload, mechanism, machine string, 
 		cfg.ConvergeEarly = true
 		if cfg.SnapshotEvery <= 0 {
 			cfg.SnapshotEvery = 1
-		}
-	}
-	if ckpt.resume != "" {
-		rck, err := profio.LoadCheckpointFile(ckpt.resume)
-		if err != nil {
-			return err
-		}
-		cfg.Resume = rck
-		fmt.Fprintf(w, "resuming %s from %s (epoch %d)\n", workload, ckpt.resume, rck.Epoch)
-	}
-	if ckpt.out != "" {
-		every := ckpt.every
-		if every <= 0 {
-			every = 1
-		}
-		cfg.CheckpointEvery = every
-		cfg.OnCheckpoint = func(ck *core.Checkpoint) {
-			// Atomic write; the newest checkpoint replaces the file, so
-			// an interrupted run resumes from its latest durable epoch.
-			if err := profio.SaveCheckpointFile(ckpt.out, ck); err != nil {
-				fmt.Fprintln(os.Stderr, "numaprof: checkpoint:", err)
-			}
 		}
 	}
 	prof, err := core.AnalyzeCtx(ctx, cfg, app)

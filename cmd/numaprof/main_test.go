@@ -21,19 +21,19 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		call func() error
 	}{
 		{"unknown workload", "unknown workload", func() error {
-			return run(context.Background(), io.Discard, "nope", "IBS", "", 0, "compact", "baseline", 0, 0, 1, 1, false, false, false, false, "", "", "", ckptFlags{})
+			return run(context.Background(), io.Discard, "nope", "IBS", "", 0, "compact", "baseline", 0, 0, 1, 1, false, false, false, false, "", "", "")
 		}},
 		{"unknown machine", "unknown machine", func() error {
-			return run(context.Background(), io.Discard, "lulesh", "IBS", "pdp-11", 0, "compact", "baseline", 0, 0, 1, 1, false, false, false, false, "", "", "", ckptFlags{})
+			return run(context.Background(), io.Discard, "lulesh", "IBS", "pdp-11", 0, "compact", "baseline", 0, 0, 1, 1, false, false, false, false, "", "", "")
 		}},
 		{"unknown binding", "unknown binding", func() error {
-			return run(context.Background(), io.Discard, "lulesh", "IBS", "", 0, "diagonal", "baseline", 0, 0, 1, 1, false, false, false, false, "", "", "", ckptFlags{})
+			return run(context.Background(), io.Discard, "lulesh", "IBS", "", 0, "diagonal", "baseline", 0, 0, 1, 1, false, false, false, false, "", "", "")
 		}},
 		{"unknown mechanism", "unknown mechanism", func() error {
-			return run(context.Background(), io.Discard, "lulesh", "XYZ", "", 0, "compact", "baseline", 0, 0, 1, 1, false, false, false, false, "", "", "", ckptFlags{})
+			return run(context.Background(), io.Discard, "lulesh", "XYZ", "", 0, "compact", "baseline", 0, 0, 1, 1, false, false, false, false, "", "", "")
 		}},
 		{"bad chaos plan", "faults:", func() error {
-			return run(context.Background(), io.Discard, "lulesh", "IBS", "", 0, "compact", "baseline", 0, 0, 1, 1, false, false, false, false, "", "", "drop=2.5", ckptFlags{})
+			return run(context.Background(), io.Discard, "lulesh", "IBS", "", 0, "compact", "baseline", 0, 0, 1, 1, false, false, false, false, "", "", "drop=2.5")
 		}},
 	}
 	for _, c := range cases {
@@ -51,7 +51,7 @@ func TestRunRejectsBadInputs(t *testing.T) {
 func TestRunBlackscholesSmoke(t *testing.T) {
 	// A fast end-to-end run through the whole pipeline.
 	if err := run(context.Background(), io.Discard, "blackscholes", "IBS", "", 0, "compact", "baseline",
-		0, 0, 4, 1, true, true, true, false, t.TempDir()+"/report.html", "", "", ckptFlags{}); err != nil {
+		0, 0, 4, 1, true, true, true, false, t.TempDir()+"/report.html", "", ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -61,7 +61,7 @@ func TestRunChaosSmoke(t *testing.T) {
 	// corruption, and a stall all hit the same pipeline the clean run
 	// uses.
 	if err := run(context.Background(), io.Discard, "blackscholes", "IBS", "", 0, "compact", "baseline",
-		0, 0, 4, 1, false, false, false, false, "", "", "drop=0.3,corrupt=0.05,stall=200,seed=9", ckptFlags{}); err != nil {
+		0, 0, 4, 1, false, false, false, false, "", "", "drop=0.3,corrupt=0.05,stall=200,seed=9"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -87,7 +87,7 @@ func TestSubmitMatchesLocalProfile(t *testing.T) {
 	local := filepath.Join(dir, "local.numaprof")
 	remote := filepath.Join(dir, "remote.numaprof")
 	if err := run(context.Background(), io.Discard, "blackscholes", "IBS", "", 0, "compact", "interleave",
-		0, 0, 1, 1, true, false, false, false, "", local, "", ckptFlags{}); err != nil {
+		0, 0, 1, 1, true, false, false, false, "", local, ""); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
@@ -113,7 +113,7 @@ func TestSubmitMatchesLocalProfile(t *testing.T) {
 
 func TestRunUMTDefaultsToScatter(t *testing.T) {
 	if err := run(context.Background(), io.Discard, "umt2013", "MRK", "", 0, "compact", "baseline",
-		0, 0, 2, 1, false, false, false, false, "", "", "", ckptFlags{}); err != nil {
+		0, 0, 2, 1, false, false, false, false, "", "", ""); err != nil {
 		t.Fatal(err)
 	}
 }

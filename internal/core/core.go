@@ -127,28 +127,6 @@ type Config struct {
 	// intentionally NOT byte-identical to full-sampling runs; the
 	// early stop is recorded in Health. Requires SnapshotEvery > 0.
 	ConvergeEarly bool
-
-	// CheckpointEvery enables mid-run checkpointing: every N epochs
-	// the profiler captures its complete resumable state (see
-	// Checkpoint) and hands it to OnCheckpoint. 0 (the default)
-	// disables capture; like snapshots, checkpoints are observational
-	// and never change the profile's bytes. Unsupported (silently off)
-	// for fault-injected runs. This is a service/CLI option, never part
-	// of a sweep cell's spec: the cache key and the profile are
-	// identical with or without it.
-	CheckpointEvery int
-	// OnCheckpoint receives every checkpoint, synchronously on the
-	// run's goroutine. The checkpoint holds live references — the
-	// callback must serialize (or deep-copy) before returning and
-	// retain nothing.
-	OnCheckpoint func(*Checkpoint)
-	// Resume adopts a previously captured checkpoint: the run
-	// fast-forwards to the checkpoint's epoch with the monitor paused
-	// (the deterministic replay rebuilds the address space, caches and
-	// contention state), restores the checkpointed sampling state
-	// there, and continues. The resumed run's profile is byte-identical
-	// to an uninterrupted one. Incompatible with Faults.
-	Resume *Checkpoint
 }
 
 // Totals carries whole-program measurements and derived metrics.
@@ -389,21 +367,6 @@ func AnalyzeCtx(ctx context.Context, cfg Config, app App) (*Profile, error) {
 		p.faulty = fm
 		p.health.Plan = cfg.Faults.String()
 	}
-	if cfg.Resume != nil {
-		if p.faulty != nil {
-			setupDone()
-			return nil, fmt.Errorf("%w: cannot resume a fault-injected run", ErrResume)
-		}
-		if cfg.Resume.Epoch <= 0 {
-			setupDone()
-			return nil, fmt.Errorf("%w: checkpoint carries no epoch", ErrResume)
-		}
-		// Fast-forward: replay the deterministic access stream with the
-		// monitor paused. OnRegionEnd adopts the checkpoint and unpauses
-		// once the replay reaches the checkpointed epoch.
-		p.resume = cfg.Resume
-		mon.Pause()
-	}
 	setupDone()
 
 	_, runDone := telemetry.Timed(ctx, "pipeline.sampling_run",
@@ -411,10 +374,6 @@ func AnalyzeCtx(ctx context.Context, cfg Config, app App) (*Profile, error) {
 	app.Run(e)
 	runDone()
 
-	if p.resume != nil {
-		return nil, fmt.Errorf("%w: epoch %d beyond program end (%d epochs)",
-			ErrResume, p.resume.Epoch, p.epoch)
-	}
 	return p.finish(ctx, app.Name(), mon), nil
 }
 
@@ -530,10 +489,6 @@ type profiler struct {
 	snapSeq      int
 	detector     progress.Detector
 	stoppedEarly bool
-
-	// resume holds the checkpoint being fast-forwarded to; nil once
-	// adopted (or when the run never was a resume).
-	resume *Checkpoint
 }
 
 type varAgg struct {
@@ -735,25 +690,8 @@ func (p *profiler) OnRegionBegin(name string, _ []*proc.Thread) {
 func (p *profiler) OnRegionEnd(string) {
 	p.patterns.LeaveRegion()
 	p.epoch++
-	if p.resume != nil {
-		// Fast-forwarding to a checkpoint: no snapshots, no captures.
-		// At the checkpointed epoch, adopt the sampling state and let
-		// the monitor run again — from here the run is the
-		// uninterrupted run.
-		if p.epoch == p.resume.Epoch {
-			p.adoptCheckpoint(p.resume)
-			p.resume = nil
-			p.mon.Unpause()
-		}
-		return
-	}
 	if n := p.cfg.SnapshotEvery; n > 0 && p.epoch%n == 0 {
 		p.publishSnapshot(p.liveSnapshot(), false)
-	}
-	if n := p.cfg.CheckpointEvery; n > 0 && p.cfg.OnCheckpoint != nil && p.epoch%n == 0 {
-		if ck := p.captureCheckpoint(); ck != nil {
-			p.cfg.OnCheckpoint(ck)
-		}
 	}
 }
 

@@ -205,13 +205,6 @@ type Monitor struct {
 	// sampling, or overhead charging. Counters freeze at their values
 	// as of the stop (the converge-early window).
 	stopped bool
-
-	// paused suspends the monitor like stopped, but reversibly: the
-	// checkpoint-resume fast-forward re-executes the program with the
-	// monitor paused (no samples, no overhead, no counter movement) and
-	// unpauses at the checkpointed epoch, where RestoreState reinstates
-	// the exact counter and sampler state of the interrupted run.
-	paused bool
 }
 
 // NewMonitor builds a Monitor. cb may be nil (counting only). The
@@ -272,21 +265,9 @@ func (m *Monitor) StopSampling() { m.stopped = true }
 // SamplingStopped reports whether StopSampling was called.
 func (m *Monitor) SamplingStopped() bool { return m.stopped }
 
-// Pause reversibly suspends the monitor: no observation, sampling, or
-// overhead charging until Unpause. Used by the checkpoint-resume
-// fast-forward, which replays the deterministic access stream without
-// re-measuring it.
-func (m *Monitor) Pause() { m.paused = true }
-
-// Unpause re-attaches a paused monitor.
-func (m *Monitor) Unpause() { m.paused = false }
-
-// Paused reports whether the monitor is paused.
-func (m *Monitor) Paused() bool { return m.paused }
-
 // OnAccess implements proc.Hook.
 func (m *Monitor) OnAccess(ev *proc.AccessEvent) {
-	if m.stopped || m.paused {
+	if m.stopped {
 		return
 	}
 	if m.costs.PerAccess > 0 {
@@ -312,7 +293,7 @@ func (m *Monitor) OnAccess(ev *proc.AccessEvent) {
 // observation (overhead charges are additive, so bulk-charging the
 // per-access tax up front changes no observable state).
 func (m *Monitor) OnAccessBatch(evs []proc.AccessEvent) {
-	if m.stopped || m.paused || len(evs) == 0 {
+	if m.stopped || len(evs) == 0 {
 		return
 	}
 	if m.bm == nil {
@@ -404,7 +385,7 @@ func (m *Monitor) deliverSample(ev *proc.AccessEvent) {
 // address. Those samples still count toward I^s — they are what lets
 // Equation 2's denominator represent all instructions.
 func (m *Monitor) OnCompute(t *proc.Thread, n uint64) {
-	if m.stopped || m.paused {
+	if m.stopped {
 		return
 	}
 	samples, overhead := m.mech.ObserveCompute(t, n)

@@ -28,27 +28,6 @@ type Detector struct {
 	prevRF  float64
 	prevLPI float64
 	prevOK  bool
-
-	// Gap detection: the epoch of the last sampled snapshot and the
-	// learned epoch stride between consecutive ones. A snapshot
-	// arriving more than one stride after its predecessor crossed a
-	// sampling gap (an interrupted-and-resumed run, a re-armed
-	// publisher): its quotients must not be compared against the stale
-	// pre-gap memory, and any streak is void.
-	lastEpoch int
-	stride    int
-}
-
-// Reset clears the detector's memory — streak, previous quotients, and
-// epoch tracking. Call it when the snapshot stream crosses a gap the
-// epochs cannot reveal (e.g. adopting a checkpoint): a resumed run must
-// re-earn its full stability window rather than inherit a streak built
-// before the interruption.
-func (d *Detector) Reset() {
-	d.streak = 0
-	d.has = false
-	d.prevRF, d.prevLPI, d.prevOK = 0, 0, false
-	d.lastEpoch, d.stride = 0, 0
 }
 
 func (d *Detector) epsilon() float64 {
@@ -71,26 +50,8 @@ func (d *Detector) window() int {
 // Snapshots with no samples yet reset the streak — an idle profiler's
 // estimates are trivially stable and must not count as converged.
 func (d *Detector) Observe(s *Snapshot) {
-	// A jump past the learned snapshot cadence means snapshots are
-	// missing in between: the previous quotients predate a gap and
-	// cannot vouch for stability across it.
-	gap := false
-	if d.has && s.Epoch > d.lastEpoch {
-		step := s.Epoch - d.lastEpoch
-		if d.stride > 0 && step > d.stride {
-			gap = true
-		}
-		if d.stride == 0 || step < d.stride {
-			// Learn the cadence from the smallest positive step (final
-			// snapshots can land mid-stride).
-			d.stride = step
-		}
-	}
-	if gap {
-		d.streak = 0
-	}
 	stable := false
-	if d.has && !gap && s.Samples > 0 {
+	if d.has && s.Samples > 0 {
 		dRF := relChange(d.prevRF, s.RemoteFraction)
 		var dLPI float64
 		switch {
@@ -116,7 +77,6 @@ func (d *Detector) Observe(s *Snapshot) {
 		d.prevRF = s.RemoteFraction
 		d.prevLPI = s.LPI
 		d.prevOK = s.LPIValid
-		d.lastEpoch = s.Epoch
 	}
 	k := d.window()
 	s.Converged = d.streak >= k

@@ -78,26 +78,3 @@ func MapCkptWithCtx[T any](ctx context.Context, nworkers, n int, ck Checkpoint[T
 		return v, nil
 	})
 }
-
-// MapCkptResumeWithCtx is MapCkptWithCtx for sweeps whose cells can be
-// interrupted mid-run: when a cell has no completed result in ck,
-// resume(i) is consulted for partial state R captured before the
-// interruption (a mid-cell checkpoint), and fn receives it so the cell
-// restarts from that state instead of from scratch (ok false: nothing
-// to adopt, run from the beginning). Cells that adopt resume state are
-// counted (sched_cells_resumed_total). A nil resume degrades to
-// MapCkptWithCtx semantics.
-func MapCkptResumeWithCtx[T, R any](ctx context.Context, nworkers, n int, ck Checkpoint[T], resume func(i int) (R, bool), fn func(ctx context.Context, i int, r R, resumed bool) (T, error)) ([]T, error) {
-	wrapped := func(ctx context.Context, i int) (T, error) {
-		var r R
-		var ok bool
-		if resume != nil {
-			r, ok = resume(i)
-		}
-		if ok {
-			telemetry.Default.Counter("sched_cells_resumed_total").Inc()
-		}
-		return fn(ctx, i, r, ok)
-	}
-	return MapCkptWithCtx(ctx, nworkers, n, ck, wrapped)
-}

@@ -64,11 +64,6 @@ type Job struct {
 	recovered bool         // re-enqueued from the journal after a restart
 	cells     []CellStatus // per-cell progress of a sweep job
 	advice    []byte       // advise job's marshaled advisor.Report
-	// ckpts holds journal-adopted mid-cell checkpoint pointers for a
-	// recovered job: cell key → highest checkpointed epoch. The worker
-	// consults it to resume an interrupted cell instead of recomputing
-	// from epoch zero.
-	ckpts     map[store.Key]int
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -165,29 +160,6 @@ func (j *Job) markRecovered() {
 	j.mu.Lock()
 	j.recovered = true
 	j.mu.Unlock()
-}
-
-// adoptCkpts installs journal-recovered checkpoint pointers (cell key →
-// epoch) on a re-enqueued job.
-func (j *Job) adoptCkpts(ckpts map[string]int) {
-	if len(ckpts) == 0 {
-		return
-	}
-	m := make(map[store.Key]int, len(ckpts))
-	for k, e := range ckpts {
-		m[store.Key(k)] = e
-	}
-	j.mu.Lock()
-	j.ckpts = m
-	j.mu.Unlock()
-}
-
-// ckptEpoch reads the recovered checkpoint pointer for one cell key, 0
-// when the job has none.
-func (j *Job) ckptEpoch(k store.Key) int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.ckpts[k]
 }
 
 // setCells installs the sweep's cell table (called once, when the sweep

@@ -37,8 +37,6 @@ type metrics struct {
 	breakerFastFails *telemetry.Counter // submissions refused while open
 	cellsReplayed    *telemetry.Counter // sweep cells served from checkpoint
 	cellsRecomputed  *telemetry.Counter // sweep cells computed and saved
-	cellsResumed     *telemetry.Counter // cells resumed from a mid-cell checkpoint
-	ckptsWritten     *telemetry.Counter // mid-cell checkpoint blobs persisted
 
 	// Optimizer instruments (PR 8): advise endpoint traffic, remedies
 	// actually re-run, and per-candidate rerun latency.
@@ -88,8 +86,6 @@ func newMetrics(reg *telemetry.Registry) metrics {
 		breakerFastFails: reg.Counter("jobs_breaker_fastfails_total"),
 		cellsReplayed:    reg.Counter("jobs_cells_replayed_total"),
 		cellsRecomputed:  reg.Counter("jobs_cells_recomputed_total"),
-		cellsResumed:     reg.Counter("jobs_cells_resumed_total"),
-		ckptsWritten:     reg.Counter("jobs_checkpoints_written_total"),
 
 		adviseRequests:  reg.Counter("jobs_advise_requests_total"),
 		adviseDone:      reg.Counter("jobs_advise_done_total"),
@@ -132,11 +128,6 @@ type RecoveryInfo struct {
 	BreakerFastFails uint64 `json:"breaker_fast_fails"`
 	CellsReplayed    uint64 `json:"cells_replayed"`
 	CellsRecomputed  uint64 `json:"cells_recomputed"`
-	// CellsResumed counts cells that restarted from a mid-cell
-	// checkpoint instead of recomputing from epoch zero.
-	CellsResumed uint64 `json:"cells_resumed"`
-	// CheckpointsWritten counts mid-cell checkpoint blobs persisted.
-	CheckpointsWritten uint64 `json:"checkpoints_written"`
 }
 
 // AdvisorInfo is the optimizer block of MetricsSnapshot.
@@ -217,15 +208,13 @@ func (m *metrics) snapshot(st store.Stats, depth, capacity, workers int) Metrics
 			Snapshots:   m.streamSnapshots.Value(),
 		},
 		Recovery: RecoveryInfo{
-			Recovered:          m.recovered.Value(),
-			Retried:            m.retried.Value(),
-			Shed:               m.shed.Value(),
-			BreakerTrips:       m.breakerTrips.Value(),
-			BreakerFastFails:   m.breakerFastFails.Value(),
-			CellsReplayed:      m.cellsReplayed.Value(),
-			CellsRecomputed:    m.cellsRecomputed.Value(),
-			CellsResumed:       m.cellsResumed.Value(),
-			CheckpointsWritten: m.ckptsWritten.Value(),
+			Recovered:        m.recovered.Value(),
+			Retried:          m.retried.Value(),
+			Shed:             m.shed.Value(),
+			BreakerTrips:     m.breakerTrips.Value(),
+			BreakerFastFails: m.breakerFastFails.Value(),
+			CellsReplayed:    m.cellsReplayed.Value(),
+			CellsRecomputed:  m.cellsRecomputed.Value(),
 		},
 		// Default first: a per-server instrument shadowing a global one
 		// would win, and that is the right precedence for this server's

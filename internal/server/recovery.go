@@ -224,6 +224,11 @@ func (s *Server) journalAppend(job *Job, state State, errMsg string, cacheHit bo
 // the store is missing. A non-terminal job whose queued record (the one
 // carrying the spec) was lost to corruption cannot be re-run and is
 // recovered as failed — never silently dropped.
+//
+// Such a failure is journaled before the job is adopted. Boot-time
+// compaction has already dropped the job's non-terminal records, so
+// without its terminal record the next restart would forget the job
+// and hand its ID to a new submission.
 func (s *Server) Recover(rec *store.RecoveredJournal) error {
 	if rec == nil {
 		return nil
@@ -244,28 +249,23 @@ func (s *Server) Recover(rec *store.RecoveredJournal) error {
 		}
 
 		if specErr != nil {
-			job := newTerminalJob(jj.ID, spec, store.Key(jj.Key), StateFailed,
-				fmt.Sprintf("unrecoverable: %v", specErr), false, now)
-			s.adoptJob(job)
-			s.m.failed.Inc()
+			if err := s.failRecovered(jj, spec, store.Key(jj.Key), fmt.Sprintf("unrecoverable: %v", specErr), now); err != nil {
+				return err
+			}
 			s.log.Error("job unrecoverable", "id", jj.ID, "err", specErr)
 			continue
 		}
 
 		n, err := spec.Normalize()
 		if err != nil {
-			job := newTerminalJob(jj.ID, spec, store.Key(jj.Key), StateFailed,
-				fmt.Sprintf("unrecoverable: %v", err), false, now)
-			s.adoptJob(job)
-			s.m.failed.Inc()
+			if err := s.failRecovered(jj, spec, store.Key(jj.Key), fmt.Sprintf("unrecoverable: %v", err), now); err != nil {
+				return err
+			}
 			continue
 		}
 		job := newJob(s.baseCtx, jj.ID, n, n.Key(), now)
 		job.markRecovered()
 		job.setAttempt(jj.Attempt)
-		// Journal-recovered checkpoint pointers: the worker resumes
-		// these cells mid-run instead of recomputing from epoch zero.
-		job.adoptCkpts(jj.Ckpts)
 		if s.timeout > 0 {
 			job.armTimeout(s.timeout)
 		}
@@ -293,12 +293,13 @@ func (s *Server) Recover(rec *store.RecoveredJournal) error {
 		s.mu.Unlock()
 		if full {
 			job.cancel()
-			job = newTerminalJob(jj.ID, n, n.Key(), StateFailed,
-				"recovered job exceeds queue capacity", false, now)
-			s.m.failed.Inc()
+			if err := s.failRecovered(jj, n, n.Key(), "recovered job exceeds queue capacity", now); err != nil {
+				return err
+			}
 			s.log.Error("recovered job dropped, queue full", "id", jj.ID)
+		} else {
+			s.adoptJob(job)
 		}
-		s.adoptJob(job)
 		s.m.recovered.Inc()
 		s.log.Info("job recovered", "id", jj.ID, "state", jj.State, "attempt", jj.Attempt)
 	}
@@ -311,6 +312,20 @@ func (s *Server) Recover(rec *store.RecoveredJournal) error {
 		}
 	}
 	s.mu.Unlock()
+	return nil
+}
+
+// failRecovered journals a replayed job's terminal failed record, with
+// its spec and key when the journal still had them, then adopts the job
+// as failed.
+func (s *Server) failRecovered(jj store.JournalJob, spec Spec, key store.Key, msg string, now time.Time) error {
+	job := newTerminalJob(jj.ID, spec, key, StateFailed, msg, false, now)
+	job.setAttempt(jj.Attempt)
+	if err := s.journalAppend(job, StateFailed, msg, false, len(jj.Spec) > 0); err != nil {
+		return err
+	}
+	s.adoptJob(job)
+	s.m.failed.Inc()
 	return nil
 }
 
@@ -383,40 +398,19 @@ func (s *Server) executeSweep(ctx context.Context, job *Job) (State, string, boo
 			}
 			s.m.cellsRecomputed.Inc()
 			job.setCell(i, StateDone, "")
-			// The cell's profile is durable; its mid-cell checkpoints
-			// have nothing left to accelerate.
-			s.st.DeleteCheckpoints(keys[i])
 			return nil
 		},
 	}
 	// One worker: job-level parallelism is the pool's, exactly like the
 	// single-spec path.
-	resume := func(i int) (*core.Checkpoint, bool) {
-		return s.resumeCheckpoint(job, keys[i])
-	}
-	_, err = sched.MapCkptResumeWithCtx(ctx, 1, len(cells), ck, resume,
-		func(cellCtx context.Context, i int, rck *core.Checkpoint, _ bool) (*core.Profile, error) {
-			job.setCell(i, StateRunning, "")
-			cfg, app, err := cells[i].Build()
-			if err != nil {
-				return nil, err
-			}
-			// Sweep cells do not stream to the hub, but with autotune on
-			// they observe their own snapshots so convergence history
-			// accrues; checkpoints make the cell resumable either way.
-			snapEvery, ckptEvery := s.cadenceFor(cells[i].Workload)
-			if s.autotune && snapEvery > 0 {
-				cfg.SnapshotEvery = snapEvery
-				cfg.SnapshotTopK = s.topVars
-			}
-			commit := s.observeConvergence(cells[i].Workload, &cfg)
-			s.installCheckpointing(job, keys[i], ckptEvery, &cfg)
-			p, err := s.runCell(cellCtx, job, keys[i], cfg, app, rck)
-			if err == nil {
-				commit()
-			}
-			return p, err
-		})
+	_, err = sched.MapCkptWithCtx(ctx, 1, len(cells), ck, func(cellCtx context.Context, i int) (*core.Profile, error) {
+		job.setCell(i, StateRunning, "")
+		cfg, app, err := cells[i].Build()
+		if err != nil {
+			return nil, err
+		}
+		return core.AnalyzeCtx(cellCtx, cfg, app)
+	})
 	if err != nil {
 		var firstErr error = err
 		if sweep, ok := sched.AsSweep(err); ok && len(sweep.Cells) > 0 {

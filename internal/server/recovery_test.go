@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -440,6 +441,97 @@ func TestJournalRecoveryInProcess(t *testing.T) {
 	}
 	if seq, ok := parseJobSeq(j4.Status().ID); !ok || seq != 4 {
 		t.Fatalf("post-recovery id %s, want job-000004", j4.Status().ID)
+	}
+}
+
+// TestRecoverFailuresSurviveNextBoot: a journaled job that Recover
+// cannot re-run (spec lost, or no room left in the queue) is failed on
+// the first boot and must still be served as failed, with the same
+// error, after a second boot over the same journal. Boot-time
+// compaction drops the job's non-terminal records, so only a journaled
+// terminal record keeps the job and its ID alive.
+func TestRecoverFailuresSurviveNextBoot(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, store.JournalName)
+	st, err := store.Open(filepath.Join(dir, "profiles"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := func(id, strategy string) store.JournalRecord {
+		n, err := fastSpec(strategy).Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store.JournalRecord{ID: id, State: "queued", Key: string(n.Key()), Spec: b}
+	}
+	jl, err := store.OpenJournal(jpath, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []store.JournalRecord{
+		queued("job-000003", "baseline"),     // fills the one queue slot
+		queued("job-000005", "interleave"),   // finds the queue full
+		{ID: "job-000007", State: "running"}, // its spec record was lost
+	} {
+		if err := jl.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jl.Close()
+
+	// boot replays the journal the way numad starts: recover, compact,
+	// reopen, Recover. The servers are never started, so the queue
+	// keeps its one slot taken.
+	boot := func() *Server {
+		t.Helper()
+		rec, err := store.RecoverJournal(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.CompactJournal(jpath, rec); err != nil {
+			t.Fatal(err)
+		}
+		jl, err := store.OpenJournal(jpath, rec.MaxSeq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { jl.Close() })
+		s, err := New(Options{Store: st, Workers: 1, QueueDepth: 1, Journal: jl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Recover(rec); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	failed := map[string]string{
+		"job-000005": "recovered job exceeds queue capacity",
+		"job-000007": "unrecoverable: journal lost the job's spec",
+	}
+	for n, s := range []*Server{boot(), boot()} {
+		for id, msg := range failed {
+			j, ok := s.JobByID(id)
+			if !ok {
+				t.Fatalf("boot %d: job %s lost", n+1, id)
+			}
+			if st := j.Status(); st.State != StateFailed || st.Error != msg {
+				t.Fatalf("boot %d: job %s is %s (%q), want failed (%q)", n+1, id, st.State, st.Error, msg)
+			}
+		}
+		if j, ok := s.JobByID("job-000003"); !ok || j.Status().State != StateQueued {
+			t.Fatalf("boot %d: job-000003 not re-enqueued", n+1)
+		}
+		s.mu.Lock()
+		next := fmt.Sprintf("job-%06d", s.seq+1)
+		s.mu.Unlock()
+		if next != "job-000008" {
+			t.Fatalf("boot %d: next id %s, want job-000008", n+1, next)
+		}
 	}
 }
 

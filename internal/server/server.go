@@ -103,21 +103,6 @@ type Options struct {
 	// still stream. Streaming never changes profile bytes; cache hits
 	// and sweep/advise jobs publish lifecycle events only.
 	SnapshotEvery int
-	// CheckpointEvery enables mid-cell checkpointing: every N completed
-	// regions the profiler serializes its resumable state, the blob
-	// lands in the store's checkpoint tier, and a journal pointer makes
-	// it recoverable — a crashed cell resumes from its latest
-	// checkpoint instead of recomputing from epoch zero. 0 (the
-	// default) disables it. Like SnapshotEvery, it is a server option,
-	// never a Spec field: profile bytes and store keys are identical
-	// with or without it.
-	CheckpointEvery int
-	// Autotune seeds SnapshotEvery and CheckpointEvery per workload
-	// from the store's recorded convergence history when the configured
-	// values are 0: cadences are sized so a typical run of that
-	// workload observes several snapshots and checkpoints before its
-	// estimates settle. Explicitly configured cadences always win.
-	Autotune bool
 }
 
 // DefaultMaxRetries is the retry bound when Options.MaxRetries is 0.
@@ -128,14 +113,12 @@ const DefaultQueueDepth = 128
 
 // Server is the numad daemon: queue, worker pool, job table, metrics.
 type Server struct {
-	st              *store.Store
-	workers         int
-	topVars         int
-	timeout         time.Duration
-	beforeRun       func(*Job)
-	snapshotEvery   int
-	checkpointEvery int
-	autotune        bool
+	st            *store.Store
+	workers       int
+	topVars       int
+	timeout       time.Duration
+	beforeRun     func(*Job)
+	snapshotEvery int
 
 	jl               *store.Journal
 	maxRetries       int
@@ -208,10 +191,6 @@ func New(opts Options) (*Server, error) {
 	if snapEvery < 0 {
 		snapEvery = 0
 	}
-	ckptEvery := opts.CheckpointEvery
-	if ckptEvery < 0 {
-		ckptEvery = 0
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		st:               opts.Store,
@@ -220,8 +199,6 @@ func New(opts Options) (*Server, error) {
 		timeout:          opts.JobTimeout,
 		beforeRun:        opts.BeforeRun,
 		snapshotEvery:    snapEvery,
-		checkpointEvery:  ckptEvery,
-		autotune:         opts.Autotune,
 		jl:               opts.Journal,
 		maxRetries:       retries,
 		retryBase:        retryBase,
@@ -531,29 +508,20 @@ func (s *Server) execute(ctx context.Context, job *Job, attempt int) (State, str
 			if err != nil {
 				return nil, err
 			}
-			// Live streaming and checkpointing are server options,
-			// never Spec fields: the store key and the profile bytes
-			// stay identical with or without them. Only the first
-			// computation of a key runs this — a cache hit or
-			// dedup-waiting duplicate streams lifecycle events only.
-			snapEvery, ckptEvery := s.cadenceFor(job.spec.Workload)
-			if snapEvery > 0 {
-				cfg.SnapshotEvery = snapEvery
+			// Live streaming is a server option, never a Spec field:
+			// the store key and the profile bytes stay identical with
+			// or without it. Only the first computation of a key runs
+			// this — a cache hit or dedup-waiting duplicate streams
+			// lifecycle events only.
+			if s.snapshotEvery > 0 {
+				cfg.SnapshotEvery = s.snapshotEvery
 				cfg.SnapshotTopK = s.topVars
 				cfg.OnSnapshot = func(snap progress.Snapshot) {
 					s.m.streamSnapshots.Inc()
 					job.hub.Publish(progress.EventSnapshot, &snap, nil)
 				}
 			}
-			commit := s.observeConvergence(job.spec.Workload, &cfg)
-			s.installCheckpointing(job, job.key, ckptEvery, &cfg)
-			rck, _ := s.resumeCheckpoint(job, job.key)
-			p, err := s.runCell(cellCtx, job, job.key, cfg, app, rck)
-			if err == nil {
-				commit()
-				s.st.DeleteCheckpoints(job.key)
-			}
-			return p, err
+			return core.AnalyzeCtx(cellCtx, cfg, app)
 		})
 		if err != nil {
 			if sweep, ok := sched.AsSweep(err); ok && len(sweep.Cells) > 0 {

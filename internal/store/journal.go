@@ -34,7 +34,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -59,9 +58,7 @@ type JournalRecord struct {
 	// ID is the job ID ("job-000042").
 	ID string `json:"id"`
 	// State is the job state this record moves to: queued, running,
-	// done, failed, or canceled — or the special non-transition "ckpt",
-	// which records a persisted mid-cell checkpoint without moving the
-	// job's state machine.
+	// done, failed, or canceled.
 	State string `json:"state"`
 	// Key is the job's store key (sweep jobs: the sweep-spec hash).
 	Key string `json:"key,omitempty"`
@@ -77,12 +74,6 @@ type JournalRecord struct {
 	// Unix is the wall-clock second of the transition (operational
 	// metadata only; replay ignores it).
 	Unix int64 `json:"unix,omitempty"`
-	// CkptCell and CkptEpoch ride on "ckpt" records: the cell spec hash
-	// whose checkpoint blob was persisted, and the epoch it captured.
-	// Replay folds them into JournalJob.Ckpts (latest epoch per cell)
-	// so a restart can resume the cell instead of recomputing it.
-	CkptCell  string `json:"ckpt_cell,omitempty"`
-	CkptEpoch int    `json:"ckpt_epoch,omitempty"`
 }
 
 // terminalJournalState reports whether state ends a job's lifecycle.
@@ -90,11 +81,10 @@ func terminalJournalState(state string) bool {
 	return state == "done" || state == "failed" || state == "canceled"
 }
 
-// validJournalState reports whether state is one of the five lifecycle
-// states or the checkpoint-pointer pseudo-state.
+// validJournalState reports whether state is one of the five states.
 func validJournalState(state string) bool {
 	switch state {
-	case "queued", "running", "done", "failed", "canceled", "ckpt":
+	case "queued", "running", "done", "failed", "canceled":
 		return true
 	}
 	return false
@@ -206,10 +196,6 @@ type JournalJob struct {
 	Attempt  int
 	CacheHit bool
 	Err      string
-	// Ckpts maps cell spec hash → the latest checkpointed epoch, folded
-	// from the job's "ckpt" records. Recovery resumes these cells from
-	// their checkpoint blobs instead of recomputing from epoch zero.
-	Ckpts map[string]int
 }
 
 // Terminal reports whether the job needs no recovery action.
@@ -333,33 +319,6 @@ func RecoverJournal(path string) (*RecoveredJournal, error) {
 			quarantine(lineNo, "bad-state", line)
 			continue
 		}
-		if r.State == "ckpt" {
-			// Checkpoint pointer: not a transition. Fold the latest
-			// epoch per cell into the job; a malformed pointer is
-			// quarantined, a pointer for an unknown or terminal job is
-			// counted and ignored (its blob has nothing to resume).
-			if r.CkptCell == "" || r.CkptEpoch <= 0 {
-				quarantine(lineNo, "bad-state", line)
-				continue
-			}
-			rec.Records++
-			if r.Seq > rec.MaxSeq {
-				rec.MaxSeq = r.Seq
-			}
-			idx, seen := byID[r.ID]
-			if !seen || rec.Jobs[idx].Terminal() {
-				rec.Duplicates++
-				continue
-			}
-			j := &rec.Jobs[idx]
-			if j.Ckpts == nil {
-				j.Ckpts = make(map[string]int)
-			}
-			if r.CkptEpoch > j.Ckpts[r.CkptCell] {
-				j.Ckpts[r.CkptCell] = r.CkptEpoch
-			}
-			continue
-		}
 		rec.Records++
 		if r.Seq > rec.MaxSeq {
 			rec.MaxSeq = r.Seq
@@ -448,15 +407,10 @@ func AppendQuarantine(path string, recs []QuarantinedRecord) error {
 }
 
 // CompactJournal atomically rewrites the journal to one record per
-// terminal job. Non-terminal jobs without checkpoints are re-journaled
-// by the server as it re-enqueues them, so they are deliberately
-// excluded here — but a non-terminal job WITH checkpoint pointers must
-// survive compaction, or a restart-after-compact would silently lose
-// the pointers and recompute its cells from epoch zero: such jobs keep
-// an introducing record (spec and key included) plus one ckpt record
-// per cell, cells in sorted order. The rewrite reuses profio's
-// temp+rename discipline: a crash mid-compact leaves the previous
-// journal intact.
+// terminal job (non-terminal jobs are re-journaled by the server as it
+// re-enqueues them, so they are deliberately excluded here). The
+// rewrite reuses profio's temp+rename discipline: a crash mid-compact
+// leaves the previous journal intact.
 func CompactJournal(path string, rec *RecoveredJournal) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -473,42 +427,20 @@ func CompactJournal(path string, rec *RecoveredJournal) error {
 		return err
 	}
 	seq := uint64(0)
-	writeRecord := func(r JournalRecord) error {
+	for _, j := range rec.Jobs {
+		if !j.Terminal() {
+			continue
+		}
 		seq++
-		r.Seq = seq
-		body, err := json.Marshal(&r)
+		body, err := json.Marshal(&JournalRecord{
+			Seq: seq, ID: j.ID, State: j.State, Key: j.Key, Spec: j.Spec,
+			Attempt: j.Attempt, CacheHit: j.CacheHit, Err: j.Err,
+		})
 		if err != nil {
 			return fmt.Errorf("store: compact journal: %w", err)
 		}
 		if _, err := fmt.Fprintf(w, "%08x %s\n", crc32.ChecksumIEEE(body), body); err != nil {
 			return err
-		}
-		return nil
-	}
-	for _, j := range rec.Jobs {
-		if !j.Terminal() && len(j.Ckpts) == 0 {
-			continue
-		}
-		if err := writeRecord(JournalRecord{
-			ID: j.ID, State: j.State, Key: j.Key, Spec: j.Spec,
-			Attempt: j.Attempt, CacheHit: j.CacheHit, Err: j.Err,
-		}); err != nil {
-			return err
-		}
-		if j.Terminal() {
-			continue
-		}
-		cells := make([]string, 0, len(j.Ckpts))
-		for cell := range j.Ckpts {
-			cells = append(cells, cell)
-		}
-		sort.Strings(cells)
-		for _, cell := range cells {
-			if err := writeRecord(JournalRecord{
-				ID: j.ID, State: "ckpt", CkptCell: cell, CkptEpoch: j.Ckpts[cell],
-			}); err != nil {
-				return err
-			}
 		}
 	}
 	if err := w.Flush(); err != nil {

@@ -196,25 +196,23 @@ func TestRecoverJournalCorruptionTable(t *testing.T) {
 			wantReasons: []string{"bad-frame", "crc-mismatch"},
 		},
 		{
+			// Older releases journaled mid-cell checkpoint pointers as
+			// "ckpt" records; their frames must still fail cleanly.
 			name: "truncated ckpt frame",
 			lines: func() []string {
-				ckpt := frame(JournalRecord{Seq: 2, ID: "job-000001", State: "ckpt", CkptCell: "cellA", CkptEpoch: 3})
+				ckpt := frameRaw(`{"seq":2,"id":"job-000001","state":"ckpt","ckpt_cell":"cellA","ckpt_epoch":3}`)
 				return []string{"numadlog v1", good1, ckpt[:len(ckpt)/2], good2}
 			}(),
 			wantJobs: 1, wantState: "done", wantQuar: 1,
 			wantReasons: []string{"crc-mismatch", "bad-frame"},
 		},
 		{
-			name: "ckpt pointer without a cell",
+			// A well-formed "ckpt" record from an older release is no
+			// longer a state: it is quarantined and the job folds from
+			// its other records.
+			name: "legacy ckpt record",
 			lines: []string{"numadlog v1", good1,
-				frameRaw(`{"seq":2,"id":"job-000001","state":"ckpt","ckpt_epoch":3}`), good2},
-			wantJobs: 1, wantState: "done", wantQuar: 1,
-			wantReasons: []string{"bad-state"},
-		},
-		{
-			name: "ckpt pointer with a non-positive epoch",
-			lines: []string{"numadlog v1", good1,
-				frameRaw(`{"seq":2,"id":"job-000001","state":"ckpt","ckpt_cell":"cellA","ckpt_epoch":0}`), good2},
+				frameRaw(`{"seq":2,"id":"job-000001","state":"ckpt","ckpt_cell":"cellA","ckpt_epoch":3}`), good2},
 			wantJobs: 1, wantState: "done", wantQuar: 1,
 			wantReasons: []string{"bad-state"},
 		},
@@ -287,55 +285,6 @@ func TestRecoverJournalDuplicateTransitions(t *testing.T) {
 	}
 }
 
-// TestRecoverJournalCkptPointers: "ckpt" pseudo-records fold into the
-// owning job's Ckpts map — latest epoch per cell wins, stale replays
-// never rewind, and pointers for unknown or terminal jobs are counted
-// as duplicates (their blobs have nothing left to resume).
-func TestRecoverJournalCkptPointers(t *testing.T) {
-	path := writeJournal(t,
-		"numadlog v1",
-		frame(JournalRecord{Seq: 1, ID: "job-000001", State: "queued", Key: "k1"}),
-		frame(JournalRecord{Seq: 2, ID: "job-000001", State: "running"}),
-		frame(JournalRecord{Seq: 3, ID: "job-000001", State: "ckpt", CkptCell: "cellA", CkptEpoch: 2}),
-		frame(JournalRecord{Seq: 4, ID: "job-000001", State: "ckpt", CkptCell: "cellA", CkptEpoch: 6}),
-		frame(JournalRecord{Seq: 5, ID: "job-000001", State: "ckpt", CkptCell: "cellB", CkptEpoch: 4}),
-		// A stale pointer replayed late must not rewind cellA past 6.
-		frame(JournalRecord{Seq: 6, ID: "job-000001", State: "ckpt", CkptCell: "cellA", CkptEpoch: 3}),
-		// Pointers for an unknown job and a terminal job: ignored.
-		frame(JournalRecord{Seq: 7, ID: "job-000099", State: "ckpt", CkptCell: "cellX", CkptEpoch: 1}),
-		frame(JournalRecord{Seq: 8, ID: "job-000002", State: "queued", Key: "k2"}),
-		frame(JournalRecord{Seq: 9, ID: "job-000002", State: "done"}),
-		frame(JournalRecord{Seq: 10, ID: "job-000002", State: "ckpt", CkptCell: "cellC", CkptEpoch: 5}),
-	)
-	rec, err := RecoverJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Quarantined) != 0 {
-		t.Fatalf("valid ckpt records quarantined: %+v", rec.Quarantined)
-	}
-	if rec.Records != 10 || rec.MaxSeq != 10 {
-		t.Fatalf("records %d maxseq %d, want 10/10", rec.Records, rec.MaxSeq)
-	}
-	if rec.Duplicates != 2 {
-		t.Fatalf("duplicates %d, want 2 (unknown-job + terminal-job pointers)", rec.Duplicates)
-	}
-	if len(rec.Jobs) != 2 {
-		t.Fatalf("jobs %d, want 2", len(rec.Jobs))
-	}
-	j1 := rec.Jobs[0]
-	if j1.State != "running" || len(j1.Ckpts) != 2 || j1.Ckpts["cellA"] != 6 || j1.Ckpts["cellB"] != 4 {
-		t.Fatalf("job 1 pointers folded wrong: %+v", j1)
-	}
-	if j2 := rec.Jobs[1]; len(j2.Ckpts) != 0 {
-		t.Fatalf("terminal job accreted pointers: %+v", j2)
-	}
-	nt := rec.NonTerminal()
-	if len(nt) != 1 || nt[0].ID != "job-000001" || nt[0].Ckpts["cellA"] != 6 {
-		t.Fatalf("non-terminal set lost the pointers: %+v", nt)
-	}
-}
-
 func TestCompactJournalKeepsTerminalDropsLive(t *testing.T) {
 	path := filepath.Join(t.TempDir(), JournalName)
 	appendRecords(t, path,
@@ -386,66 +335,6 @@ func TestCompactJournalKeepsTerminalDropsLive(t *testing.T) {
 	}
 	if len(final.Jobs) != 3 || len(final.Quarantined) != 0 {
 		t.Fatalf("append after compact broken: %+v", final)
-	}
-}
-
-// TestCompactJournalKeepsCkptBearingLiveJobs: compaction must not lose
-// mid-cell checkpoint pointers — a live job with pointers survives as
-// an introducing record plus one ckpt record per cell, a pointer-less
-// live job is dropped (re-journaled on re-enqueue), and a terminal job
-// sheds its pointers.
-func TestCompactJournalKeepsCkptBearingLiveJobs(t *testing.T) {
-	path := filepath.Join(t.TempDir(), JournalName)
-	spec := json.RawMessage(`{"workload":"lulesh","sweep":"threads"}`)
-	appendRecords(t, path,
-		JournalRecord{ID: "job-000001", State: "queued", Key: "k1", Spec: spec},
-		JournalRecord{ID: "job-000001", State: "running", Attempt: 1},
-		JournalRecord{ID: "job-000001", State: "ckpt", CkptCell: "cellB", CkptEpoch: 8},
-		JournalRecord{ID: "job-000001", State: "ckpt", CkptCell: "cellA", CkptEpoch: 12},
-		JournalRecord{ID: "job-000002", State: "queued", Key: "k2"},
-		JournalRecord{ID: "job-000003", State: "queued", Key: "k3"},
-		JournalRecord{ID: "job-000003", State: "ckpt", CkptCell: "cellC", CkptEpoch: 2},
-		JournalRecord{ID: "job-000003", State: "done"},
-	)
-	rec, err := RecoverJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CompactJournal(path, rec); err != nil {
-		t.Fatal(err)
-	}
-	after, err := RecoverJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after.Quarantined) != 0 {
-		t.Fatalf("compaction wrote unparseable records: %+v", after.Quarantined)
-	}
-	if len(after.Jobs) != 2 {
-		t.Fatalf("compacted jobs %d, want 2: %+v", len(after.Jobs), after.Jobs)
-	}
-	j1 := after.Jobs[0]
-	if j1.ID != "job-000001" || j1.State != "running" || j1.Attempt != 1 ||
-		j1.Key != "k1" || string(j1.Spec) != string(spec) {
-		t.Fatalf("ckpt-bearing job lost identity through compaction: %+v", j1)
-	}
-	if len(j1.Ckpts) != 2 || j1.Ckpts["cellA"] != 12 || j1.Ckpts["cellB"] != 8 {
-		t.Fatalf("ckpt pointers lost through compaction: %+v", j1.Ckpts)
-	}
-	j3 := after.Jobs[1]
-	if j3.ID != "job-000003" || !j3.Terminal() || len(j3.Ckpts) != 0 {
-		t.Fatalf("terminal job compacted wrong: %+v", j3)
-	}
-	// A second compaction is a fixed point: same jobs, same pointers.
-	if err := CompactJournal(path, after); err != nil {
-		t.Fatal(err)
-	}
-	again, err := RecoverJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again.Jobs) != 2 || again.Jobs[0].Ckpts["cellA"] != 12 {
-		t.Fatalf("second compaction not a fixed point: %+v", again.Jobs)
 	}
 }
 
@@ -526,8 +415,7 @@ func FuzzRecoverJournal(f *testing.F) {
 			}
 		}
 		// Recovery → compaction → recovery must stay stable: terminal
-		// jobs and ckpt-bearing live jobs survive byte-identically
-		// parseable, nothing new appears.
+		// jobs survive byte-identically parseable, nothing new appears.
 		if err := CompactJournal(path, rec); err != nil {
 			t.Fatalf("compaction errored: %v", err)
 		}
@@ -538,14 +426,14 @@ func FuzzRecoverJournal(f *testing.F) {
 		if len(again.Quarantined) != 0 {
 			t.Fatalf("compaction wrote unparseable records: %+v", again.Quarantined)
 		}
-		kept := 0
+		terminal := 0
 		for _, j := range rec.Jobs {
-			if j.Terminal() || len(j.Ckpts) > 0 {
-				kept++
+			if j.Terminal() {
+				terminal++
 			}
 		}
-		if len(again.Jobs) != kept {
-			t.Fatalf("compaction changed the kept-job set: %d vs %d", len(again.Jobs), kept)
+		if len(again.Jobs) != terminal {
+			t.Fatalf("compaction changed the terminal set: %d vs %d", len(again.Jobs), terminal)
 		}
 	})
 }

@@ -103,9 +103,6 @@ type Store struct {
 	oldest   *lruEntry
 	inflight map[Key]*call
 
-	// atMu serializes autotune-sidecar read-modify-write cycles.
-	atMu sync.Mutex
-
 	memHits, diskHits, misses    atomic.Uint64
 	dedupWaits, saves, evictions atomic.Uint64
 	corruptDropped               atomic.Uint64

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -409,8 +410,17 @@ func TestKeysListing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Litter that must not be listed: temp-style files, wrong names.
+	// Litter that must not be listed: temp-style files, wrong names,
+	// and what older releases left beside the profiles (a checkpoints/
+	// subdirectory of mid-cell blobs and an autotune.json sidecar). The
+	// subdirectory holds a profile-named file so a listing that walked
+	// into it would show.
 	os.WriteFile(s.Path(Key("nothex"))+".junk", []byte("x"), 0o644)
+	if err := os.MkdirAll(filepath.Join(s.Dir(), "checkpoints"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	os.WriteFile(filepath.Join(s.Dir(), "checkpoints", string(testKey("k9"))+Ext), []byte("x"), 0o644)
+	os.WriteFile(filepath.Join(s.Dir(), "autotune.json"), []byte(`{"workloads":{}}`), 0o644)
 	keys, err := s.Keys()
 	if err != nil {
 		t.Fatal(err)

@@ -33,23 +33,6 @@ func streamDisabledProbe(every, n int) {
 	}
 }
 
-// sinkCkptFn mirrors core.Config.OnCheckpoint for the disabled probe:
-// the real gate nil-checks the callback before the cadence test.
-var sinkCkptFn func()
-
-// ckptDisabledProbe is exactly the per-region cost of mid-run
-// checkpointing when core.Config.CheckpointEvery is 0: the gate
-// compare, callback nil-check, and cadence test OnRegionEnd added
-// (capture never runs).
-func ckptDisabledProbe(every, n int) {
-	for i := 0; i < n; i++ {
-		sinkEpoch++
-		if every > 0 && sinkCkptFn != nil && sinkEpoch%every == 0 {
-			sinkHits++
-		}
-	}
-}
-
 // streamEnabledProbe models one snapshot publication at full cost:
 // build a top-K snapshot (allocation, per-domain copy, hot-variable
 // list), run the convergence detector, and publish through a hub to an
@@ -104,11 +87,10 @@ func sweepEpochBudget(t *testing.T) int {
 
 // TestDisabledTelemetryOverheadGuard enforces the zero-overhead-when-
 // disabled contract on the BenchmarkParallelSweep workload (the full
-// Table 2 sweep): with no tracer installed, snapshot streaming off,
-// and checkpointing off, the total cost of every instrumentation site
-// the sweep crosses — telemetry spans, the streaming epoch gate, AND
-// the CheckpointEvery=0 gate — must stay under 2% of the sweep's wall
-// time.
+// Table 2 sweep): with no tracer installed and snapshot streaming off,
+// the total cost of every instrumentation site the sweep crosses —
+// telemetry spans AND the streaming epoch gate — must stay under 2% of
+// the sweep's wall time.
 //
 // A naive A/B timing of the sweep is noise-bound (the sweep itself
 // varies by more than 2% run to run), so the guard measures the
@@ -142,12 +124,6 @@ func TestDisabledTelemetryOverheadGuard(t *testing.T) {
 	if perEpoch == 0 {
 		perEpoch = time.Nanosecond // clock floor: charge a whole nanosecond
 	}
-	start = time.Now()
-	ckptDisabledProbe(0, probeIters)
-	perEpochCkpt := time.Since(start) / probeIters
-	if perEpochCkpt == 0 {
-		perEpochCkpt = time.Nanosecond
-	}
 	epochBudget := sweepEpochBudget(t)
 
 	start = time.Now()
@@ -157,10 +133,10 @@ func TestDisabledTelemetryOverheadGuard(t *testing.T) {
 	sweep := time.Since(start)
 
 	const sitesPerSweep = 2000 // ~10x the real count; see doc comment
-	overhead := perSite*sitesPerSweep + (perEpoch+perEpochCkpt)*time.Duration(epochBudget)
+	overhead := perSite*sitesPerSweep + perEpoch*time.Duration(epochBudget)
 	limit := sweep / 50 // 2%
-	t.Logf("disabled site: %v/call × %d sites; disabled epoch gates: %v+%v/epoch × %d epochs; total %v; sweep %v (limit %v)",
-		perSite, sitesPerSweep, perEpoch, perEpochCkpt, epochBudget, overhead, sweep, limit)
+	t.Logf("disabled site: %v/call × %d sites; disabled epoch gate: %v/epoch × %d epochs; total %v; sweep %v (limit %v)",
+		perSite, sitesPerSweep, perEpoch, epochBudget, overhead, sweep, limit)
 	if overhead > limit {
 		t.Errorf("disabled instrumentation overhead %v exceeds 2%% of the %v sweep", overhead, sweep)
 	}
