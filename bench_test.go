@@ -293,8 +293,8 @@ func benchSweepPair(b *testing.B, run func() error) {
 }
 
 // BenchmarkParallelSweep is the acceptance benchmark for the scheduler:
-// the full Table 2 sweep (6 mechanisms x 5 workloads, each cell a
-// base+monitored run pair) serial vs parallel.
+// the full Table 2 sweep (6 mechanisms x 3 benchmarks, each cell one
+// monitored run) serial vs parallel.
 func BenchmarkParallelSweep(b *testing.B) {
 	benchSweepPair(b, func() error {
 		_, err := experiments.RunTable2(2)

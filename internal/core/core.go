@@ -321,8 +321,16 @@ func Analyze(cfg Config, app App) (*Profile, error) {
 // Analyze has no cancellation points; job-level cancellation lives in
 // sched.MapWithCtx, which stops dispatching cells.
 func AnalyzeCtx(ctx context.Context, cfg Config, app App) (*Profile, error) {
+	prof, _, err := monitoredRun(ctx, cfg, app)
+	return prof, err
+}
+
+// monitoredRun is AnalyzeCtx returning the engine beside the profile,
+// so MeasureOverhead can read the engine's base clock without that
+// clock entering the Profile (or the bytes profio saves of it).
+func monitoredRun(ctx context.Context, cfg Config, app App) (*Profile, *proc.Engine, error) {
 	if cfg.Machine == nil {
-		return nil, fmt.Errorf("core: Config.Machine is required")
+		return nil, nil, fmt.Errorf("core: Config.Machine is required")
 	}
 	name := cfg.Mechanism
 	if name == "" {
@@ -333,7 +341,7 @@ func AnalyzeCtx(ctx context.Context, cfg Config, app App) (*Profile, error) {
 	mech, err := pmu.ByName(name, cfg.Period)
 	if err != nil {
 		setupDone()
-		return nil, err
+		return nil, nil, err
 	}
 	prog := app.Binary()
 	e := proc.NewEngine(proc.Config{
@@ -374,11 +382,13 @@ func AnalyzeCtx(ctx context.Context, cfg Config, app App) (*Profile, error) {
 	app.Run(e)
 	runDone()
 
-	return p.finish(ctx, app.Name(), mon), nil
+	return p.finish(ctx, app.Name(), mon), e, nil
 }
 
 // Run executes app on cfg's machine with no monitoring attached and
-// returns the engine, for baseline timing and exact-metric validation.
+// returns the engine, for exact-metric validation and for callers that
+// want no monitoring at all. Its TotalTime is the oracle for the base
+// clock MeasureOverhead reads off a monitored run.
 func Run(cfg Config, app App) (*proc.Engine, error) {
 	if cfg.Machine == nil {
 		return nil, fmt.Errorf("core: Config.Machine is required")
@@ -413,19 +423,18 @@ func (o Overhead) Percent() float64 {
 	return (float64(o.Monitored) - float64(o.Base)) / float64(o.Base)
 }
 
-// MeasureOverhead runs the app twice — unmonitored and monitored — and
-// returns both runtimes. makeApp must return a fresh one-shot App per
-// call.
-func MeasureOverhead(cfg Config, makeApp func() App) (Overhead, error) {
-	base, err := Run(cfg, makeApp())
+// MeasureOverhead runs app once under cfg's monitoring and returns
+// both runtimes with the run's profile. Monitored is the profile's
+// SimTime; Base is the engine's monitoring-free clock
+// (proc.Engine.BaseTime), which equals what Run reports for the same
+// app because monitoring only charges cycles and never steers the
+// simulation (see package proc's timing model).
+func MeasureOverhead(cfg Config, app App) (Overhead, *Profile, error) {
+	prof, e, err := monitoredRun(context.Background(), cfg, app)
 	if err != nil {
-		return Overhead{}, err
+		return Overhead{}, nil, err
 	}
-	prof, err := Analyze(cfg, makeApp())
-	if err != nil {
-		return Overhead{}, err
-	}
-	return Overhead{Base: base.TotalTime(), Monitored: prof.Totals.SimTime}, nil
+	return Overhead{Base: e.BaseTime(), Monitored: prof.Totals.SimTime}, prof, nil
 }
 
 // profiler is the online collector: a proc.Hook that tracks

@@ -340,9 +340,19 @@ func TestPerThreadTreesMergeMatchesGlobal(t *testing.T) {
 
 func TestMeasureOverhead(t *testing.T) {
 	cfg := Config{Machine: testMachine(), Mechanism: "Soft-IBS", Period: 128}
-	ov, err := MeasureOverhead(cfg, func() App { return newSerialInitApp(2048, 2) })
+	ov, prof, err := MeasureOverhead(cfg, newSerialInitApp(2048, 2))
 	if err != nil {
 		t.Fatal(err)
+	}
+	base, err := Run(cfg, newSerialInitApp(2048, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ov.Base != base.TotalTime() {
+		t.Fatalf("base clock %v != unmonitored runtime %v", ov.Base, base.TotalTime())
+	}
+	if ov.Monitored != prof.Totals.SimTime {
+		t.Fatalf("monitored %v != profile SimTime %v", ov.Monitored, prof.Totals.SimTime)
 	}
 	if ov.Monitored <= ov.Base {
 		t.Fatalf("monitored (%v) should exceed base (%v)", ov.Monitored, ov.Base)

@@ -61,8 +61,9 @@ func TestAnalyzeConcurrentCellsRace(t *testing.T) {
 	}
 }
 
-// TestRunConcurrentSharedProgram covers the unmonitored path (core.Run
-// is half of every MeasureOverhead cell) with the same shared Program.
+// TestRunConcurrentSharedProgram covers the unmonitored path (core.Run,
+// which figures, speedups and the base-clock oracle use) with the same
+// shared Program.
 func TestRunConcurrentSharedProgram(t *testing.T) {
 	m := topology.MagnyCours48()
 	proto := newSerialInitApp(1024, 2)

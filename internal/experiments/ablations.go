@@ -50,50 +50,44 @@ type AblationPeriodResult struct {
 	Rows []PeriodRow
 }
 
-// RunAblationPeriod sweeps the IBS period across four octaves. The
-// unmonitored baseline and the four monitored runs are five independent
-// cells; overhead is computed after they all return.
+// RunAblationPeriod sweeps the IBS period across four octaves, one
+// monitored run per period. Each run reads its unmonitored runtime off
+// its own base clock (core.MeasureOverhead); the four must agree, since
+// the period changes only what monitoring costs.
 func RunAblationPeriod() (*AblationPeriodResult, error) {
 	defer timedExperiment("ablation_period")()
 	m := topology.MagnyCours48()
-	mk := func() core.App { return workloads.NewLULESH(workloads.Params{Iters: 3}) }
 	baseCfg := BaseConfig(m, 0, proc.Compact)
+	baseCfg.Mechanism = "IBS"
 	periods := []uint64{256, 1024, 4096, 16384}
 
 	type cell struct {
-		baseTime units.Cycles
-		prof     *core.Profile
+		ov   core.Overhead
+		prof *core.Profile
 	}
-	cells, err := sched.Map(1+len(periods), func(i int) (cell, error) {
-		if i == 0 {
-			e, err := core.Run(baseCfg, mk())
-			if err != nil {
-				return cell{}, err
-			}
-			return cell{baseTime: e.TotalTime()}, nil
-		}
+	cells, err := sched.Map(len(periods), func(i int) (cell, error) {
 		cfg := baseCfg
-		cfg.Mechanism = "IBS"
-		cfg.Period = periods[i-1]
-		prof, err := core.Analyze(cfg, mk())
-		return cell{prof: prof}, err
+		cfg.Period = periods[i]
+		ov, prof, err := core.MeasureOverhead(cfg, workloads.NewLULESH(workloads.Params{Iters: 3}))
+		return cell{ov, prof}, err
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	baseTime := cells[0].baseTime
 	res := &AblationPeriodResult{}
 	for k, period := range periods {
-		prof := cells[k+1].prof
+		ov, prof := cells[k].ov, cells[k].prof
+		if ov.Base != cells[0].ov.Base {
+			return nil, fmt.Errorf("ablation A1: period %d's base clock %d differs from period %d's %d",
+				period, ov.Base, periods[0], cells[0].ov.Base)
+		}
 		row := PeriodRow{
 			Period:   period,
 			Samples:  prof.Totals.Samples,
 			LPI:      prof.Totals.LPI,
 			LPIExact: prof.Totals.LPIExact,
-		}
-		if baseTime > 0 {
-			row.Overhead = float64(prof.Totals.SimTime-baseTime) / float64(baseTime)
+			Overhead: ov.Percent(),
 		}
 		if row.LPIExact > 0 {
 			row.Ratio = row.LPI / row.LPIExact

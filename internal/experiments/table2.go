@@ -66,11 +66,12 @@ var Table2Order = []string{"LULESH", "AMG2006", "Blackscholes"}
 // Table 1 machine, across the three benchmarks. iters scales workload
 // length (0: defaults).
 //
-// The 18 cells are independent — each MeasureOverhead builds its own
-// engines — so they fan out across sched.Workers() goroutines and come
-// back in the paper's row-major order. A failed cell degrades to a
-// reported gap in the returned table; RunTable2 only errors when every
-// cell failed.
+// Each cell is one monitored run: core.MeasureOverhead reads the
+// unmonitored runtime off the same run's base clock. The 18 cells are
+// independent — each builds its own engine — so they fan out across
+// sched.Workers() goroutines and come back in the paper's row-major
+// order. A failed cell degrades to a reported gap in the returned
+// table; RunTable2 only errors when every cell failed.
 func RunTable2(iters int) (*Table2, error) {
 	defer timedExperiment("table2")()
 	type spec struct{ mech, wl string }
@@ -83,10 +84,9 @@ func RunTable2(iters int) (*Table2, error) {
 	cells, err := sched.Map(len(specs), func(i int) (Table2Cell, error) {
 		mech, wl := specs[i].mech, specs[i].wl
 		m := MachineForMechanism(mech)
-		mk := table2Workloads(iters)[wl]
 		cfg := BaseConfig(m, 0, proc.Compact)
 		cfg.Mechanism = mech
-		ov, err := core.MeasureOverhead(cfg, mk)
+		ov, _, err := core.MeasureOverhead(cfg, table2Workloads(iters)[wl]())
 		if err != nil {
 			return Table2Cell{}, fmt.Errorf("table2 %s/%s: %w", mech, wl, err)
 		}

@@ -17,6 +17,25 @@
 // accumulated; the region's duration is the maximum cycle count over
 // its team, and program time is the sum of region durations.
 //
+// The engine keeps two program clocks. TotalTime is the monitored
+// runtime: region durations include the overhead hooks charge through
+// Thread.AddOverhead. BaseTime is the same run with that overhead taken
+// out: each region advances it by the team's maximum of a thread's
+// region cycles minus the overhead charged to that thread in the region
+// (the slowest thread with and without monitoring need not be the same
+// one). Overhead charged outside any region moves neither clock.
+//
+// BaseTime equals the runtime of the same program with no hooks only
+// because monitoring never steers the simulation: a hook may charge
+// cost only through AddOverhead. A hook that issued simulated accesses,
+// allocated, or changed address-space, cache, memory or fabric state
+// would change what the unmonitored run computes, and the base clock
+// would no longer be its runtime (internal/core's oracle test compares
+// the two on every Table 2 cell). Page protection for first-touch
+// pinpointing keeps the contract: a protected page's first touch goes
+// through a fault handler that charges overhead, and the page is homed
+// exactly as the unprotected touch would home it.
+//
 // Memory contention uses a feedback model: the per-domain controller
 // factors and per-link congestion factors computed at the end of each
 // region apply to the next region's accesses. Iterative HPC programs
@@ -65,9 +84,10 @@ type Thread struct {
 	stack []Frame
 
 	// Cycle accounting.
-	cycles       units.Cycles // lifetime, including overhead
-	regionCycles units.Cycles // within the current region
-	overhead     units.Cycles // monitoring overhead charged by hooks
+	cycles         units.Cycles // lifetime, including overhead
+	regionCycles   units.Cycles // within the current region
+	overhead       units.Cycles // monitoring overhead charged by hooks
+	regionOverhead units.Cycles // the part of overhead charged in the current region
 
 	// Retirement counters ("conventional PMU counters" in the paper's
 	// terms; PEBS-LL's Equation 3 reads them).
@@ -117,6 +137,7 @@ func (t *Thread) RegionCycles() units.Cycles { return t.regionCycles }
 // instrumentation shows up as longer monitored runtime (Table 2).
 func (t *Thread) AddOverhead(c units.Cycles) {
 	t.overhead += c
+	t.regionOverhead += c
 	t.cycles += c
 	t.regionCycles += c
 }
@@ -236,6 +257,7 @@ type Engine struct {
 	linkFactors [][]float64
 
 	totalTime    units.Cycles
+	baseTime     units.Cycles // totalTime without hook overhead
 	regionName   string
 	regionTeam   []*Thread
 	regionActive bool
@@ -461,6 +483,13 @@ func (e *Engine) SetPerAccessDelivery(on bool) { e.perAccess = on }
 // sum over completed regions of the slowest team member's cycles.
 func (e *Engine) TotalTime() units.Cycles { return e.totalTime }
 
+// BaseTime returns the monitoring-free program time accumulated so far:
+// the sum over completed regions of the slowest team member's cycles
+// net of the overhead hooks charged to it in the region. It is the
+// TotalTime the same program reaches with no hooks installed (see the
+// package doc's contract on hooks).
+func (e *Engine) BaseTime() units.Cycles { return e.baseTime }
+
 // TotalInstructions returns program-wide retired instructions (the
 // paper's I).
 func (e *Engine) TotalInstructions() uint64 { return e.totalInstructions }
@@ -497,6 +526,7 @@ func (e *Engine) BeginRegion(name string, team []*Thread) {
 	e.regionTeam = team
 	for _, t := range team {
 		t.regionCycles = 0
+		t.regionOverhead = 0
 	}
 	for _, h := range e.hooks {
 		h.OnRegionBegin(name, team)
@@ -504,19 +534,20 @@ func (e *Engine) BeginRegion(name string, team []*Thread) {
 }
 
 // EndRegion closes the active region: program time advances by the
-// slowest team member's cycles, and the contention factors for the
-// next region are computed from this region's traffic.
+// slowest team member's cycles, the base clock by the slowest member's
+// cycles net of its monitoring overhead, and the contention factors for
+// the next region are computed from this region's traffic.
 func (e *Engine) EndRegion() {
 	if !e.regionActive {
 		panic("proc: EndRegion without BeginRegion")
 	}
-	var dur units.Cycles
+	var dur, base units.Cycles
 	for _, t := range e.regionTeam {
-		if t.regionCycles > dur {
-			dur = t.regionCycles
-		}
+		dur = max(dur, t.regionCycles)
+		base = max(base, t.regionCycles-t.regionOverhead)
 	}
 	e.totalTime += dur
+	e.baseTime += base
 	e.memFactors = e.memory.EndEpoch()
 	e.linkFactors = e.fabric.EndEpoch()
 	name := e.regionName

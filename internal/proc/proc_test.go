@@ -272,6 +272,34 @@ func TestOverheadInflatesTime(t *testing.T) {
 	}
 }
 
+func TestBaseTimeExcludesOverhead(t *testing.T) {
+	e, _, _ := testEngine(2)
+	t0, t1 := e.Threads()[0], e.Threads()[1]
+
+	// Thread 0 is the slowest with monitoring (100+200), thread 1
+	// without it (250): the two clocks advance by different members.
+	e.BeginRegion("r", e.Threads())
+	e.Ctx(0).Compute(100)
+	t0.AddOverhead(200)
+	e.Ctx(1).Compute(250)
+	e.EndRegion()
+	if e.TotalTime() != 300 || e.BaseTime() != 250 {
+		t.Fatalf("TotalTime/BaseTime = %v/%v, want 300/250", e.TotalTime(), e.BaseTime())
+	}
+
+	// Overhead charged between regions moves neither clock, and a
+	// thread's region overhead starts from zero in its next region.
+	t0.AddOverhead(1000)
+	t1.AddOverhead(1000)
+	e.BeginRegion("r2", []*Thread{t0})
+	e.Ctx(0).Compute(10)
+	t0.AddOverhead(5)
+	e.EndRegion()
+	if e.TotalTime() != 315 || e.BaseTime() != 260 {
+		t.Fatalf("TotalTime/BaseTime = %v/%v, want 315/260", e.TotalTime(), e.BaseTime())
+	}
+}
+
 func TestContentionFeedbackAcrossRegions(t *testing.T) {
 	// All 8 threads hammer memory homed in domain 0. The first region
 	// runs with factor 1; the second region sees inflated latency.
@@ -299,6 +327,10 @@ func TestContentionFeedbackAcrossRegions(t *testing.T) {
 	second := sweep(1 << 22)
 	if second <= first {
 		t.Errorf("contended second sweep (%v) should be slower than first (%v)", second, first)
+	}
+	// With no hooks nothing charges overhead: the two clocks agree.
+	if e.BaseTime() != e.TotalTime() {
+		t.Errorf("BaseTime %v != TotalTime %v with no hooks", e.BaseTime(), e.TotalTime())
 	}
 }
 

@@ -58,6 +58,7 @@ type Job struct {
 
 	mu        sync.Mutex
 	state     State
+	settled   State // outcome claimed by settle, not yet published by finish
 	err       string
 	cacheHit  bool
 	attempt   int          // zero-based run attempt (retries increment)
@@ -212,12 +213,15 @@ func (j *Job) armTimeout(d time.Duration) {
 }
 
 // Cancel requests cancellation. It wins against queued and running
-// jobs; against an already-terminal job it is a no-op. It returns the
-// state the job was in when the cancel landed.
+// jobs; against an already-terminal job, or one whose worker has
+// settled its outcome, it is a no-op. It returns the state the job was
+// in when the cancel landed, the settled outcome for a settled job.
 func (j *Job) Cancel() State {
 	j.mu.Lock()
 	prev := j.state
-	if !j.state.Terminal() {
+	if j.settled != "" {
+		prev = j.settled
+	} else if !j.state.Terminal() {
 		j.state = StateCanceled
 		j.err = "canceled"
 		j.finished = time.Now()
@@ -241,22 +245,35 @@ func (j *Job) begin(now time.Time) bool {
 	return true
 }
 
-// finish records the terminal outcome of a run, reporting whether it
-// applied. A cancel that landed while the run was in flight keeps the
-// canceled state (and its gauge accounting); the result, if any, is
-// still in the store for the next submission.
-func (j *Job) finish(outcome State, errMsg string, cacheHit bool, now time.Time) bool {
+// settle claims the terminal transition for a run's outcome, reporting
+// whether it won. A cancel that landed while the run was in flight
+// keeps the canceled state (and its gauge accounting); the result, if
+// any, is still in the store for the next submission. Once settle wins,
+// the worker records the outcome's counters, breaker state and
+// latencies, then calls finish to make the job terminal, so whoever
+// sees the job terminal sees that bookkeeping too. In between, the job
+// reads as running and a cancel no longer wins against it.
+func (j *Job) settle(outcome State) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
+	if j.state.Terminal() || j.settled != "" {
 		return false
 	}
-	j.state = outcome
+	j.settled = outcome
+	return true
+}
+
+// finish publishes the outcome settle claimed: the job turns terminal
+// and Done closes.
+func (j *Job) finish(errMsg string, cacheHit bool, now time.Time) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.state = j.settled
+	j.settled = ""
 	j.err = errMsg
 	j.cacheHit = cacheHit
 	j.finished = now
 	close(j.done)
-	return true
 }
 
 // CellStatus is one sweep cell's progress in JobStatus. Key addresses

@@ -297,9 +297,9 @@ func (s *Server) Recover(rec *store.RecoveredJournal) error {
 				return err
 			}
 			s.log.Error("recovered job dropped, queue full", "id", jj.ID)
-		} else {
-			s.adoptJob(job)
+			continue
 		}
+		s.adoptJob(job)
 		s.m.recovered.Inc()
 		s.log.Info("job recovered", "id", jj.ID, "state", jj.State, "attempt", jj.Attempt)
 	}

@@ -526,6 +526,11 @@ func TestRecoverFailuresSurviveNextBoot(t *testing.T) {
 		if j, ok := s.JobByID("job-000003"); !ok || j.Status().State != StateQueued {
 			t.Fatalf("boot %d: job-000003 not re-enqueued", n+1)
 		}
+		// Only the re-enqueued job counts as recovered, not the ones
+		// Recover failed.
+		if got := s.Metrics().Recovery.Recovered; got != 1 {
+			t.Fatalf("boot %d: recovered = %d, want 1", n+1, got)
+		}
 		s.mu.Lock()
 		next := fmt.Sprintf("job-%06d", s.seq+1)
 		s.mu.Unlock()

@@ -450,29 +450,32 @@ func (s *Server) runJob(job *Job) {
 		}
 		job.bumpAttempt()
 	}
-	if job.finish(outcome, errMsg, cacheHit, time.Now()) {
-		s.m.running.Add(-1)
-		switch outcome {
-		case StateDone:
-			s.m.done.Inc()
-			s.breakerSuccess(job.key)
-			s.log.Info("job done", "id", job.id, "workload", job.spec.Workload,
-				"cache_hit", cacheHit, "elapsed", time.Since(started).Round(time.Millisecond).String())
-		case StateFailed:
-			s.m.failed.Inc()
-			if faults.Classify(runErr) == faults.Permanent {
-				s.breakerFailure(job.key)
-			}
-			s.log.Error("job failed", "id", job.id, "workload", job.spec.Workload, "err", errMsg)
-		case StateCanceled:
-			s.m.canceled.Inc()
-			s.log.Info("job canceled mid-run", "id", job.id)
+	// A cancel that won the race did its own accounting.
+	if !job.settle(outcome) {
+		return
+	}
+	s.m.running.Add(-1)
+	switch outcome {
+	case StateDone:
+		s.m.done.Inc()
+		s.breakerSuccess(job.key)
+		s.log.Info("job done", "id", job.id, "workload", job.spec.Workload,
+			"cache_hit", cacheHit, "elapsed", time.Since(started).Round(time.Millisecond).String())
+	case StateFailed:
+		s.m.failed.Inc()
+		if faults.Classify(runErr) == faults.Permanent {
+			s.breakerFailure(job.key)
 		}
-		s.journalAppend(job, outcome, errMsg, cacheHit, false)
-		job.publish(string(outcome))
+		s.log.Error("job failed", "id", job.id, "workload", job.spec.Workload, "err", errMsg)
+	case StateCanceled:
+		s.m.canceled.Inc()
+		s.log.Info("job canceled mid-run", "id", job.id)
 	}
 	s.m.run.Observe(time.Since(started))
 	s.m.total.Observe(time.Since(job.submitted))
+	job.finish(errMsg, cacheHit, time.Now())
+	s.journalAppend(job, outcome, errMsg, cacheHit, false)
+	job.publish(string(outcome))
 }
 
 // execute resolves one attempt to its outcome: a store hit, a fresh run

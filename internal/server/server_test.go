@@ -401,6 +401,46 @@ func TestCancelMidRun(t *testing.T) {
 	}
 }
 
+// TestCancelAgainstSettle pins the two orders of a cancel and a
+// worker's settle: whichever lands first wins, and a settled job reads
+// as running, with Done open, until finish publishes its outcome.
+func TestCancelAgainstSettle(t *testing.T) {
+	now := time.Now()
+	canceled := newJob(context.Background(), "job-000001", Spec{}, "", now)
+	canceled.begin(now)
+	if got := canceled.Cancel(); got != StateRunning {
+		t.Fatalf("cancel of a running job returned %s", got)
+	}
+	if canceled.settle(StateDone) {
+		t.Fatal("settle won against a cancel that landed first")
+	}
+
+	settled := newJob(context.Background(), "job-000002", Spec{}, "", now)
+	settled.begin(now)
+	if !settled.settle(StateDone) {
+		t.Fatal("settle lost on a running job")
+	}
+	if got := settled.Cancel(); got != StateDone {
+		t.Fatalf("cancel after settle returned %s, want the settled done", got)
+	}
+	if settled.settle(StateFailed) {
+		t.Fatal("a second settle won")
+	}
+	select {
+	case <-settled.Done():
+		t.Fatal("Done closed before finish")
+	default:
+	}
+	if got := settled.StateNow(); got != StateRunning {
+		t.Fatalf("settled job reads %s before finish, want running", got)
+	}
+	settled.finish("", false, now)
+	<-settled.Done()
+	if got := settled.StateNow(); got != StateDone {
+		t.Fatalf("finished job reads %s, want done", got)
+	}
+}
+
 func TestJobTimeoutFails(t *testing.T) {
 	_, c := newTestServer(t, func(o *Options) {
 		o.Workers = 1
