@@ -12,6 +12,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -21,8 +22,10 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/isa"
 	"repro/internal/metrics"
+	"repro/internal/pmu"
 	"repro/internal/proc"
 	"repro/internal/sched"
+	"repro/internal/server"
 	"repro/internal/topology"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -374,6 +377,39 @@ func BenchmarkProfiledAccess(b *testing.B) {
 	if _, err := core.Analyze(cfg, app); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkAnalyzePaperSpecs runs the 24 app x mechanism baseline
+// specs, with numad's defaults, through server.Spec.Build and
+// core.AnalyzeCtx; one op is all 24 monitored runs. It times the
+// simulator and monitor path without profio, views or the daemon, a
+// quick local A/B for per-access work beside perfbench's 25-second
+// profile runs. samples/op is a work fingerprint: it must not move when
+// only host cost changes.
+func BenchmarkAnalyzePaperSpecs(b *testing.B) {
+	var specs []server.Spec
+	for _, mech := range pmu.Names() {
+		for _, wl := range []string{"lulesh", "amg2006", "blackscholes", "umt2013"} {
+			specs = append(specs, server.Spec{Workload: wl, Mechanism: mech})
+		}
+	}
+	ctx := context.Background()
+	var samples float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range specs {
+			cfg, app, err := s.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			prof, err := core.AnalyzeCtx(ctx, cfg, app)
+			if err != nil {
+				b.Fatal(err)
+			}
+			samples += prof.Totals.Samples
+		}
+	}
+	b.ReportMetric(samples/float64(b.N), "samples/op")
 }
 
 type benchApp struct {

@@ -104,8 +104,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// setAssoc is one set-associative LRU cache. It stores only tags; the
-// simulator never needs the data itself.
+// setAssoc is one set-associative cache with exact LRU replacement. It
+// stores only tags; the simulator never needs the data itself.
 type setAssoc struct {
 	// sets holds ways tags per set in MRU-first order; zero means
 	// empty (tag values are offset by 1 to distinguish empty slots).
@@ -135,28 +135,28 @@ func (c *setAssoc) access(addr uint64) bool {
 	set := int(line & c.setMask)
 	tag := line + 1 // offset so 0 means empty
 	base := set * c.ways
-	// Full slice expression so the probe loop and the MRU shifts below
-	// run over a slice whose bounds the compiler can prove once.
+	// Full slice expression so the loop below runs over a slice whose
+	// bounds the compiler can prove once.
 	ways := c.sets[base : base+c.ways : base+c.ways]
-	for i, t := range ways {
-		if t == tag {
-			// Move to front (MRU).
-			copy(ways[1:i+1], ways[:i])
-			ways[0] = tag
+	if ways[0] == tag {
+		return true // MRU hit: the order does not change
+	}
+	// Move to front in one pass: put the tag in front and shift each way
+	// down a slot until the tag's old slot turns up (a hit) or the LRU
+	// way falls off the end (a miss). The MRU test above is what makes
+	// this correct: a tag already in front would be shifted into way 1
+	// as well.
+	prev := ways[0]
+	ways[0] = tag
+	for i := 1; i < len(ways); i++ {
+		cur := ways[i]
+		ways[i] = prev
+		if cur == tag {
 			return true
 		}
+		prev = cur
 	}
-	// Miss: evict LRU (last slot), insert at front.
-	copy(ways[1:], ways[:c.ways-1])
-	ways[0] = tag
 	return false
-}
-
-// flush empties the cache.
-func (c *setAssoc) flush() {
-	for i := range c.sets {
-		c.sets[i] = 0
-	}
 }
 
 // Result describes one access through the hierarchy.
@@ -261,19 +261,4 @@ func (h *Hierarchy) SourceCounts() map[DataSource]uint64 {
 		out[s] = h.sourceCounts[s]
 	}
 	return out
-}
-
-// Flush empties every cache and resets statistics. Used between the
-// baseline and monitored runs of an experiment.
-func (h *Hierarchy) Flush() {
-	for _, c := range h.l1 {
-		c.flush()
-	}
-	for _, c := range h.l2 {
-		c.flush()
-	}
-	for _, c := range h.l3 {
-		c.flush()
-	}
-	h.sourceCounts = [numSources]uint64{}
 }

@@ -174,19 +174,6 @@ func TestPrivateCachesAreNotShared(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	h := NewHierarchy(testMachine(), DefaultConfig())
-	h.Access(0, 0x6000, 0)
-	h.Flush()
-	if r := h.Access(0, 0x6000, 0); r.Source != SrcLocalDRAM {
-		t.Fatalf("post-flush access = %v, want LCL_DRAM", r.Source)
-	}
-	counts := h.SourceCounts()
-	if counts[SrcLocalDRAM] != 1 || counts[SrcL1] != 0 {
-		t.Fatalf("post-flush counts wrong: %v", counts)
-	}
-}
-
 func TestSourceCountsAccumulate(t *testing.T) {
 	h := NewHierarchy(testMachine(), DefaultConfig())
 	h.Access(0, 0x7000, 0)

@@ -365,12 +365,13 @@ func monitoredRun(ctx context.Context, cfg Config, app App) (*Profile, *proc.Eng
 	// else keeps batch delivery, which is bit-identical for them.
 	e.SetPerAccessDelivery(cfg.Trace || (cfg.Faults != nil && !cfg.Faults.Zero()))
 
+	// The profiler is the run's only hook: it forwards the access and
+	// compute events to the monitor itself, after its supervision pass.
 	p := newProfiler(cfg, e, prog)
-	e.AddHook(p)
 	mon := pmu.NewMonitor(mech, prog, p.onSample)
 	mon.CorrectOffByOne = cfg.CorrectOffByOne || !mech.Caps().PreciseIP
-	e.AddHook(mon)
 	p.mon = mon
+	e.AddHook(p)
 	if fm, ok := mech.(*faults.Faulty); ok {
 		p.faulty = fm
 		p.health.Plan = cfg.Faults.String()
@@ -438,8 +439,9 @@ func MeasureOverhead(cfg Config, app App) (Overhead, *Profile, error) {
 }
 
 // profiler is the online collector: a proc.Hook that tracks
-// allocations, regions, and first touches, and the sample sink for the
-// PMU monitor.
+// allocations, regions, and first touches, drives the PMU monitor with
+// the run's access and compute events, and is the monitor's sample
+// sink.
 type profiler struct {
 	proc.BaseHook
 	cfg    Config
@@ -576,17 +578,25 @@ const (
 	maxBackoff     units.Cycles = 1 << 20
 )
 
-// OnAccess implements proc.Hook: the profiler's supervision pass. It
-// runs before the PMU monitor on every access (hooks fire in
-// registration order) and watches the sampler's health: a stalled
-// sampler is restarted after an exponential backoff in simulated time;
-// a hard-failed sampler is replaced by Soft-IBS, the software sampler
-// that needs no PMU (Section 3's fallback for machines without
-// address-sampling hardware — reused here as the degradation path).
+// OnAccess implements proc.Hook: the profiler's supervision pass, then
+// the PMU monitor's observation of the access. Supervision watches the
+// sampler's health: a stalled sampler is restarted after an exponential
+// backoff in simulated time; a hard-failed sampler is replaced by
+// Soft-IBS, the software sampler that needs no PMU (Section 3's
+// fallback for machines without address-sampling hardware — reused
+// here as the degradation path).
 func (p *profiler) OnAccess(ev *proc.AccessEvent) {
-	if p.faulty == nil || p.fellBack {
-		return
+	if p.faulty != nil && !p.fellBack {
+		p.supervise(ev)
 	}
+	p.mon.OnAccess(ev)
+}
+
+// OnCompute implements proc.Hook by forwarding to the monitor.
+func (p *profiler) OnCompute(t *proc.Thread, n uint64) { p.mon.OnCompute(t, n) }
+
+// supervise is one access's supervision pass in a fault-injected run.
+func (p *profiler) supervise(ev *proc.AccessEvent) {
 	now := p.engine.Now(ev.Thread)
 	if p.faulty.Failed() {
 		p.fallBack(now)
@@ -609,18 +619,17 @@ func (p *profiler) OnAccess(ev *proc.AccessEvent) {
 	}
 }
 
-// OnAccessBatch implements proc.BatchHook. Supervision only has work to
-// do in fault-injected runs, and those force per-access delivery (see
-// AnalyzeCtx), so a batched run pays exactly one early-out check per
-// batch instead of one interface call per access. The loop below is a
-// belt-and-braces fallback should a faulty run ever reach this path.
+// OnAccessBatch implements proc.BatchHook: supervision over the batch,
+// then the monitor's batch observation. Supervision only has work to do
+// in fault-injected runs, and those force per-access delivery (see
+// AnalyzeCtx), so a batched run pays one early-out check per batch. The
+// loop is a belt-and-braces fallback should a faulty run ever reach
+// this path.
 func (p *profiler) OnAccessBatch(evs []proc.AccessEvent) {
-	if p.faulty == nil || p.fellBack {
-		return
+	for i := 0; i < len(evs) && p.faulty != nil && !p.fellBack; i++ {
+		p.supervise(&evs[i])
 	}
-	for i := range evs {
-		p.OnAccess(&evs[i])
-	}
+	p.mon.OnAccessBatch(evs)
 }
 
 // fallBack snapshots the estimator window and swaps the monitored

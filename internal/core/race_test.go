@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/proc"
 	"repro/internal/sched"
 	"repro/internal/topology"
 )
@@ -63,28 +64,69 @@ func TestAnalyzeConcurrentCellsRace(t *testing.T) {
 
 // TestRunConcurrentSharedProgram covers the unmonitored path (core.Run,
 // which figures, speedups and the base-clock oracle use) with the same
-// shared Program.
+// shared Program, and the single-owner rule beneath it: an engine's
+// address space, memory system and fabric take no locks, which is safe
+// only because engines share nothing but the read-only Machine and
+// Program. Four engines run concurrently, and each one's clock, pages
+// per domain, DRAM requests per domain and per-link fabric traffic must
+// equal a serial run's; under -race, any state those packages shared
+// across engines would also be reported.
 func TestRunConcurrentSharedProgram(t *testing.T) {
 	m := topology.MagnyCours48()
 	proto := newSerialInitApp(1024, 2)
 	cfg := Config{Machine: m}
-	times, err := sched.MapWith(4, 4, func(int) (uint64, error) {
+	shared := func() App {
 		a := newSerialInitApp(1024, 2)
 		a.prog = proto.prog
 		a.mainFn, a.initFn, a.workFn = proto.mainFn, proto.initFn, proto.workFn
 		a.allocSite, a.initSite, a.loadSite = proto.allocSite, proto.initSite, proto.loadSite
-		e, err := Run(cfg, a)
-		if err != nil {
-			return 0, err
+		return a
+	}
+	type state struct {
+		Time             uint64
+		Pages, Requests  []uint64
+		LinkTransfers    []uint64 // [from*domains+to]
+		RemoteTransfers  uint64
+		TotalMemAccesses uint64
+	}
+	snapshot := func(e *proc.Engine) state {
+		st := state{
+			Time:             uint64(e.TotalTime()),
+			Pages:            e.AddressSpace().DomainPages(),
+			Requests:         e.Memory().TotalsByDomain(),
+			TotalMemAccesses: e.TotalMemAccesses(),
 		}
-		return uint64(e.TotalTime()), nil
+		n := m.NumDomains()
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				c := e.Fabric().TotalTraffic(topology.DomainID(from), topology.DomainID(to))
+				st.LinkTransfers = append(st.LinkTransfers, c)
+				st.RemoteTransfers += c
+			}
+		}
+		return st
+	}
+	serial, err := Run(cfg, shared())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snapshot(serial)
+	if want.RemoteTransfers == 0 {
+		t.Fatal("serial run crossed no fabric link: the comparison would be vacuous")
+	}
+	got, err := sched.MapWith(4, 4, func(int) (state, error) {
+		e, err := Run(cfg, shared())
+		if err != nil {
+			return state{}, err
+		}
+		return snapshot(e), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(times); i++ {
-		if times[i] != times[0] {
-			t.Fatalf("run %d simulated time %d != run 0's %d", i, times[i], times[0])
+	for i, st := range got {
+		if !reflect.DeepEqual(st, want) {
+			t.Errorf("concurrent run %d = %+v, serial run %+v", i, st, want)
 		}
 	}
 }

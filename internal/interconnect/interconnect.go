@@ -9,12 +9,16 @@
 // Like the memory controllers in package mem, traffic is recorded
 // during an epoch (one parallel region) and the congestion factors are
 // computed deterministically when the epoch ends.
+//
+// A Fabric has a single owner: the proc.Engine that built it, driven
+// from that engine's goroutine (see package proc). Its counters are
+// plain integers and it takes no locks, so it must not be used from two
+// goroutines at once.
 package interconnect
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -49,8 +53,13 @@ type Fabric struct {
 	// epoch and lifetime traffic per directed link, flattened as
 	// from*n+to. The diagonal (from==to) stays zero: local accesses
 	// never cross the fabric.
-	epoch []atomic.Uint64
-	total []atomic.Uint64
+	epoch []uint64
+	total []uint64
+
+	// factors is the matrix EndEpoch returns, its rows slices of one
+	// backing array; it is reused by every call, so the per-region
+	// EndEpoch allocates nothing.
+	factors [][]float64
 }
 
 // New creates the fabric for a machine.
@@ -59,13 +68,19 @@ func New(topo *topology.Machine, params Params) *Fabric {
 		params = DefaultParams()
 	}
 	n := topo.NumDomains()
-	return &Fabric{
-		topo:   topo,
-		params: params,
-		n:      n,
-		epoch:  make([]atomic.Uint64, n*n),
-		total:  make([]atomic.Uint64, n*n),
+	f := &Fabric{
+		topo:    topo,
+		params:  params,
+		n:       n,
+		epoch:   make([]uint64, n*n),
+		total:   make([]uint64, n*n),
+		factors: make([][]float64, n),
 	}
+	backing := make([]float64, n*n)
+	for from := range f.factors {
+		f.factors[from] = backing[from*n : (from+1)*n : (from+1)*n]
+	}
+	return f
 }
 
 // Params returns the link model parameters.
@@ -79,14 +94,14 @@ func (f *Fabric) validPair(from, to topology.DomainID) bool {
 
 // RecordTransfer notes one remote memory transfer crossing the link
 // from -> to during the current epoch. Local pairs and invalid ids are
-// ignored. Safe for concurrent use.
+// ignored.
 func (f *Fabric) RecordTransfer(from, to topology.DomainID) {
 	if !f.validPair(from, to) {
 		return
 	}
 	i := f.idx(from, to)
-	f.epoch[i].Add(1)
-	f.total[i].Add(1)
+	f.epoch[i]++
+	f.total[i]++
 }
 
 // EpochTraffic returns the transfers recorded on link from->to in the
@@ -95,7 +110,7 @@ func (f *Fabric) EpochTraffic(from, to topology.DomainID) uint64 {
 	if !f.validPair(from, to) {
 		return 0
 	}
-	return f.epoch[f.idx(from, to)].Load()
+	return f.epoch[f.idx(from, to)]
 }
 
 // TotalTraffic returns the lifetime transfer count on link from->to.
@@ -103,7 +118,7 @@ func (f *Fabric) TotalTraffic(from, to topology.DomainID) uint64 {
 	if !f.validPair(from, to) {
 		return 0
 	}
-	return f.total[f.idx(from, to)].Load()
+	return f.total[f.idx(from, to)]
 }
 
 // HopLatency returns the unloaded fabric-crossing latency for the
@@ -118,9 +133,11 @@ func (f *Fabric) HopLatency(from, to topology.DomainID) units.Cycles {
 
 // EndEpoch computes per-link congestion factors from the traffic
 // recorded since the last EndEpoch, resets the epoch counters, and
-// returns the factors as a matrix indexed [from][to]. A link carrying
-// its fair share (total remote traffic / number of links) or less gets
-// factor 1.0; heavier links inflate toward the cap.
+// returns the factors as a matrix indexed [from][to]. The matrix is
+// reused by the next EndEpoch call; callers that need it longer must
+// copy it. A link carrying its fair share (total remote traffic /
+// number of links) or less gets factor 1.0; heavier links inflate
+// toward the cap.
 //
 // The classic saturation case — many domains all reading one domain's
 // memory — loads all n-1 links *into* that domain, so every reader sees
@@ -128,20 +145,18 @@ func (f *Fabric) HopLatency(from, to topology.DomainID) units.Cycles {
 // contention from package mem.
 func (f *Fabric) EndEpoch() [][]float64 {
 	links := f.n * (f.n - 1)
-	counts := make([]uint64, f.n*f.n)
 	var total uint64
-	for i := range f.epoch {
-		counts[i] = f.epoch[i].Swap(0)
-		total += counts[i]
+	for _, c := range f.epoch {
+		total += c
 	}
-	out := make([][]float64, f.n)
-	for from := 0; from < f.n; from++ {
-		out[from] = make([]float64, f.n)
-		for to := 0; to < f.n; to++ {
-			out[from][to] = f.congestionFactor(counts[from*f.n+to], total, links)
+	for from, row := range f.factors {
+		for to := range row {
+			i := from*f.n + to
+			row[to] = f.congestionFactor(f.epoch[i], total, links)
+			f.epoch[i] = 0
 		}
 	}
-	return out
+	return f.factors
 }
 
 func (f *Fabric) congestionFactor(count, total uint64, links int) float64 {

@@ -1,7 +1,6 @@
 package interconnect
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -90,29 +89,6 @@ func TestEndEpochResets(t *testing.T) {
 	}
 	if f.TotalTraffic(1, 0) != 1 {
 		t.Fatal("lifetime traffic should persist")
-	}
-}
-
-func TestConcurrentRecordTransfer(t *testing.T) {
-	f := New(testMachine(), DefaultParams())
-	var wg sync.WaitGroup
-	const perG, gs = 500, 8
-	for g := 0; g < gs; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				f.RecordTransfer(topology.DomainID(1+g%3), 0)
-			}
-		}(g)
-	}
-	wg.Wait()
-	var total uint64
-	for from := 0; from < 4; from++ {
-		total += f.TotalTraffic(topology.DomainID(from), 0)
-	}
-	if total != perG*gs {
-		t.Fatalf("total = %d, want %d", total, perG*gs)
 	}
 }
 

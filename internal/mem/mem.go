@@ -19,24 +19,15 @@
 // ends. This two-phase protocol keeps the simulation deterministic
 // regardless of the order in which threads are simulated.
 //
-// # Concurrency
-//
-// Each sweep cell owns its own System — the experiment scheduler
-// (internal/sched) never shares one across cells, so cell-level
-// parallelism needs no coordination here. Within a cell, the epoch
-// request counters are atomics so per-thread simulation may run on
-// concurrent goroutines. The epoch protocol is additionally fenced by
-// a reader/writer lock: EndEpoch takes it exclusively while swapping
-// the counters out, so even a RecordRequest racing the epoch boundary
-// lands wholly in one epoch's snapshot and the per-domain counts always
-// sum to the total the contention factors are computed from.
+// A System has a single owner: the proc.Engine that built it, driven
+// from that engine's goroutine (see package proc). Its counters are
+// plain integers and it takes no locks, so it must not be used from two
+// goroutines at once.
 package mem
 
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -71,23 +62,13 @@ type System struct {
 	topo   *topology.Machine
 	params LatencyParams
 
-	// epochMu fences epoch transitions: RecordRequest holds it shared
-	// while bumping the counters, EndEpoch holds it exclusively while
-	// swapping them out, so every recorded request lands wholly in one
-	// epoch's snapshot. Without the fence the sequential Swap(0) loop
-	// reads a torn cut — a request recorded between two swaps counts
-	// toward a different epoch than its siblings, skewing the
-	// contention factors the snapshot feeds.
-	epochMu sync.RWMutex
-	// epoch request counters, one per domain. Written with atomics so
-	// that per-thread simulation can run on concurrent goroutines.
-	epochRequests []atomic.Uint64
+	// epoch request counters, one per domain.
+	epochRequests []uint64
 	// lifetime totals per domain, for whole-run balance reporting.
-	totalRequests []atomic.Uint64
+	totalRequests []uint64
 
-	// Scratch buffers reused across epochs so the per-region EndEpoch
-	// allocates nothing in steady state.
-	epochCounts  []uint64
+	// epochFactors is the scratch EndEpoch reuses, so the per-region
+	// call allocates nothing in steady state.
 	epochFactors []float64
 }
 
@@ -99,9 +80,8 @@ func NewSystem(topo *topology.Machine, params LatencyParams) *System {
 	return &System{
 		topo:          topo,
 		params:        params,
-		epochRequests: make([]atomic.Uint64, topo.NumDomains()),
-		totalRequests: make([]atomic.Uint64, topo.NumDomains()),
-		epochCounts:   make([]uint64, topo.NumDomains()),
+		epochRequests: make([]uint64, topo.NumDomains()),
+		totalRequests: make([]uint64, topo.NumDomains()),
 		epochFactors:  make([]float64, topo.NumDomains()),
 	}
 }
@@ -113,49 +93,38 @@ func (s *System) Topology() *topology.Machine { return s.topo }
 func (s *System) Params() LatencyParams { return s.params }
 
 // RecordRequest notes one DRAM request served by domain d during the
-// current epoch. Safe for concurrent use, including concurrently with
-// EndEpoch: the shared lock guarantees the request lands wholly inside
-// one epoch's snapshot.
+// current epoch. Invalid domain ids are ignored.
 func (s *System) RecordRequest(d topology.DomainID) {
 	if d < 0 || int(d) >= len(s.epochRequests) {
 		return
 	}
-	s.epochMu.RLock()
-	s.epochRequests[d].Add(1)
-	s.totalRequests[d].Add(1)
-	s.epochMu.RUnlock()
+	s.epochRequests[d]++
+	s.totalRequests[d]++
 }
 
 // EpochRequests returns the number of requests domain d has served in
 // the current epoch.
 func (s *System) EpochRequests(d topology.DomainID) uint64 {
-	return s.epochRequests[d].Load()
+	return s.epochRequests[d]
 }
 
 // TotalRequests returns the lifetime request count for domain d.
 func (s *System) TotalRequests(d topology.DomainID) uint64 {
-	return s.totalRequests[d].Load()
+	return s.totalRequests[d]
 }
 
 // TotalsByDomain returns a copy of the lifetime per-domain request
 // counts, indexed by domain id. This is the raw material for the
 // paper's "imbalanced requests" analysis (Section 4.1).
 func (s *System) TotalsByDomain() []uint64 {
-	out := make([]uint64, len(s.totalRequests))
-	for i := range s.totalRequests {
-		out[i] = s.totalRequests[i].Load()
-	}
-	return out
+	return append([]uint64(nil), s.totalRequests...)
 }
 
 // EndEpoch computes the contention factor for every domain from the
 // requests recorded since the last EndEpoch, resets the epoch counters,
-// and returns the factors indexed by domain id. The snapshot is
-// consistent even against concurrent RecordRequest calls: the exclusive
-// lock drains in-flight recorders before the counters are swapped, so
-// total always equals the sum of the per-domain counts from one cut.
-// The returned slice is reused by the next EndEpoch call; callers that
-// need it longer must copy it.
+// and returns the factors indexed by domain id. The returned slice is
+// reused by the next EndEpoch call; callers that need it longer must
+// copy it.
 //
 // The factor for a domain is 1.0 when requests are evenly spread (or
 // absent) and grows toward MaxContentionFactor as the domain's share of
@@ -165,17 +134,14 @@ func (s *System) TotalsByDomain() []uint64 {
 // paper's Figure 1 "all data in domain 1" distribution.
 func (s *System) EndEpoch() []float64 {
 	n := len(s.epochRequests)
-	counts := s.epochCounts
 	var total uint64
-	s.epochMu.Lock()
-	for i := range s.epochRequests {
-		counts[i] = s.epochRequests[i].Swap(0)
-		total += counts[i]
+	for _, c := range s.epochRequests {
+		total += c
 	}
-	s.epochMu.Unlock()
 	factors := s.epochFactors
-	for i := range factors {
-		factors[i] = s.contentionFactor(counts[i], total, n)
+	for i, c := range s.epochRequests {
+		factors[i] = s.contentionFactor(c, total, n)
+		s.epochRequests[i] = 0
 	}
 	return factors
 }

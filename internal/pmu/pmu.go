@@ -159,8 +159,10 @@ type SampleTransformer interface {
 	TransformSample(s *Sample) bool
 }
 
-// Monitor connects a Mechanism to an Engine as a proc.Hook and delivers
-// samples to a callback: it is the PMU interrupt handler of hpcrun.
+// Monitor connects a Mechanism to an Engine and delivers samples to a
+// callback: it is the PMU interrupt handler of hpcrun. It is a
+// proc.Hook; a hook of its own may also call its methods directly, as
+// the profiler in internal/core does.
 type Monitor struct {
 	proc.BaseHook
 	mech Mechanism

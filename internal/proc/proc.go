@@ -53,7 +53,8 @@
 // isa.Program (see those packages' concurrency notes). This split is
 // what lets internal/sched run whole cells concurrently while keeping
 // every cell's simulated clock — and therefore its output bytes —
-// identical to a serial run.
+// identical to a serial run, and what lets vm, cache, mem and
+// interconnect keep their state in plain fields with no locks.
 package proc
 
 import (
@@ -255,6 +256,13 @@ type Engine struct {
 	// Contention factors from the previous region (feedback model).
 	memFactors  []float64
 	linkFactors [][]float64
+	// dramLat and hopLat hold, at [from*domains+to], the contention-scaled
+	// DRAM and fabric-crossing latencies for a CPU in domain from that
+	// reaches memory homed in domain to. They are recomputed from the
+	// factors in NewEngine and EndRegion, so an access does one table
+	// load instead of a distance ratio and a scaling.
+	dramLat, hopLat []units.Cycles
+	domains         int
 
 	totalTime    units.Cycles
 	baseTime     units.Cycles // totalTime without hook overhead
@@ -351,15 +359,20 @@ func NewEngine(cfg Config) *Engine {
 			Domain: cfg.Machine.DomainOfCPU(cpus[i]),
 		})
 	}
-	e.memFactors = make([]float64, cfg.Machine.NumDomains())
-	e.linkFactors = make([][]float64, cfg.Machine.NumDomains())
+	nd := cfg.Machine.NumDomains()
+	e.domains = nd
+	e.memFactors = make([]float64, nd)
+	e.linkFactors = make([][]float64, nd)
 	for i := range e.memFactors {
 		e.memFactors[i] = 1.0
-		e.linkFactors[i] = make([]float64, cfg.Machine.NumDomains())
+		e.linkFactors[i] = make([]float64, nd)
 		for j := range e.linkFactors[i] {
 			e.linkFactors[i][j] = 1.0
 		}
 	}
+	e.dramLat = make([]units.Cycles, nd*nd)
+	e.hopLat = make([]units.Cycles, nd*nd)
+	e.refreshLatencies()
 	// "Load" the program: map each symbol-table static variable into
 	// the address space (the data/bss segment). Statics are homed by
 	// first touch, like pages of a freshly mapped segment.
@@ -550,6 +563,7 @@ func (e *Engine) EndRegion() {
 	e.baseTime += base
 	e.memFactors = e.memory.EndEpoch()
 	e.linkFactors = e.fabric.EndEpoch()
+	e.refreshLatencies()
 	name := e.regionName
 	e.regionActive = false
 	e.regionTeam = nil
@@ -694,15 +708,15 @@ func (e *Engine) resolve(ev *AccessEvent, t *Thread, site isa.SiteID, addr uint6
 	switch res.Source {
 	case cache.SrcRemoteCache:
 		e.fabric.RecordTransfer(t.Domain, home)
-		lat += e.fabric.HopLatency(t.Domain, home).Scale(e.linkFactor(t.Domain, home))
+		lat += e.hopLatency(t.Domain, home)
 	case cache.SrcLocalDRAM:
 		e.memory.RecordRequest(home)
-		lat += e.memory.DRAMLatency(t.Domain, home).Scale(e.memFactor(home))
+		lat += e.dramLatency(t.Domain, home)
 	case cache.SrcRemoteDRAM:
 		e.memory.RecordRequest(home)
 		e.fabric.RecordTransfer(t.Domain, home)
-		lat += e.memory.DRAMLatency(t.Domain, home).Scale(e.memFactor(home))
-		lat += e.fabric.HopLatency(t.Domain, home).Scale(e.linkFactor(t.Domain, home))
+		lat += e.dramLatency(t.Domain, home)
+		lat += e.hopLatency(t.Domain, home)
 	}
 	ev.Thread = t
 	ev.Site = site
@@ -714,6 +728,45 @@ func (e *Engine) resolve(ev *AccessEvent, t *Thread, site isa.SiteID, addr uint6
 	ev.FirstTouch = first
 	ev.Region = region
 	ev.RegionValid = regionOK
+}
+
+// refreshLatencies recomputes the latency tables from the current
+// contention factors.
+func (e *Engine) refreshLatencies() {
+	n := e.domains
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			f, t := topology.DomainID(from), topology.DomainID(to)
+			e.dramLat[from*n+to] = e.scaledDRAMLatency(f, t)
+			e.hopLat[from*n+to] = e.scaledHopLatency(f, t)
+		}
+	}
+}
+
+// dramLatency is the contention-scaled DRAM latency of an access from
+// domain from to memory homed in to: a table load for a pair of the
+// machine's domains, the formula for NoDomain or an out-of-range id.
+func (e *Engine) dramLatency(from, to topology.DomainID) units.Cycles {
+	if uint(from) < uint(e.domains) && uint(to) < uint(e.domains) {
+		return e.dramLat[int(from)*e.domains+int(to)]
+	}
+	return e.scaledDRAMLatency(from, to)
+}
+
+// hopLatency is dramLatency's counterpart for the fabric crossing.
+func (e *Engine) hopLatency(from, to topology.DomainID) units.Cycles {
+	if uint(from) < uint(e.domains) && uint(to) < uint(e.domains) {
+		return e.hopLat[int(from)*e.domains+int(to)]
+	}
+	return e.scaledHopLatency(from, to)
+}
+
+func (e *Engine) scaledDRAMLatency(from, to topology.DomainID) units.Cycles {
+	return e.memory.DRAMLatency(from, to).Scale(e.memFactor(to))
+}
+
+func (e *Engine) scaledHopLatency(from, to topology.DomainID) units.Cycles {
+	return e.fabric.HopLatency(from, to).Scale(e.linkFactor(from, to))
 }
 
 func (e *Engine) memFactor(d topology.DomainID) float64 {

@@ -12,12 +12,15 @@
 // case study in Section 8 traces back to this mechanism, and the
 // tool's first-touch pinpointing (Section 6) is built on page
 // protection, which this package also provides.
+//
+// An AddressSpace has a single owner: the proc.Engine that built it,
+// driven from that engine's goroutine (see package proc). It takes no
+// locks and must not be used from two goroutines at once.
 package vm
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -171,7 +174,6 @@ const noRegion = -1
 
 // AddressSpace is the simulated process's virtual memory.
 type AddressSpace struct {
-	mu   sync.Mutex
 	topo *topology.Machine
 
 	next uint64 // bump allocator cursor, page aligned
@@ -225,8 +227,6 @@ func (as *AddressSpace) Topology() *topology.Machine { return as.topo }
 // behave as if unprotected (matching a program with no SIGSEGV handler
 // installed by the tool).
 func (as *AddressSpace) SetFaultHandler(h FaultHandler) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	as.handler = h
 }
 
@@ -241,8 +241,6 @@ func (as *AddressSpace) Alloc(size uint64, policy Policy) Region {
 	if policy == nil {
 		policy = FirstTouch{}
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	base := as.next
 	nPages := units.PagesSpanned(base, size)
 	as.next += nPages * uint64(units.PageSize)
@@ -267,8 +265,6 @@ func (as *AddressSpace) Free(r Region) {
 	if !r.Valid() {
 		return
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	if r.ID < 0 || r.ID >= len(as.regions) || as.freed[r.ID] {
 		return
 	}
@@ -285,25 +281,21 @@ func (as *AddressSpace) Free(r Region) {
 
 // Freed reports whether the region has been freed.
 func (as *AddressSpace) Freed(r Region) bool {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	return r.ID >= 0 && r.ID < len(as.freed) && as.freed[r.ID]
 }
 
 // RegionOf returns the allocation containing addr.
 func (as *AddressSpace) RegionOf(addr uint64) (Region, bool) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	_, r, ok := as.regionOfLocked(addr)
+	_, r, ok := as.lookup(addr)
 	return r, ok
 }
 
-// regionOfLocked resolves addr to its page-table entry and the live
+// lookup resolves addr to its page-table entry and the live
 // allocation containing it. Guard pages, freed allocations, the tail of
 // an allocation's last page past its Size, and addresses outside the
 // table all report false.
-func (as *AddressSpace) regionOfLocked(addr uint64) (*page, Region, bool) {
-	pg := as.pageLocked(addr)
+func (as *AddressSpace) lookup(addr uint64) (*page, Region, bool) {
+	pg := as.pageAt(addr)
 	if pg == nil || pg.region == noRegion {
 		return nil, Region{}, false
 	}
@@ -314,10 +306,10 @@ func (as *AddressSpace) regionOfLocked(addr uint64) (*page, Region, bool) {
 	return pg, r, true
 }
 
-// pageLocked returns the page-table entry of the page containing addr,
+// pageAt returns the page-table entry of the page containing addr,
 // or nil if the page lies below the heap or past the last allocation's
 // guard page.
-func (as *AddressSpace) pageLocked(addr uint64) *page {
+func (as *AddressSpace) pageAt(addr uint64) *page {
 	if addr < heapBase {
 		return nil
 	}
@@ -333,34 +325,37 @@ func (as *AddressSpace) pageLocked(addr uint64) *page {
 // first touch. It returns the page's home domain and whether this
 // access was the page's first touch.
 //
-// If the page is protected, the installed fault handler runs first
-// (with the lock released, so the handler can call Unprotect), then the
-// touch is retried; this mirrors the kernel delivering SIGSEGV and
-// restarting the faulting instruction (Figure 2 of the paper). If no
-// handler is installed the protection is ignored.
+// If the page is protected, the installed fault handler runs first (it
+// may call Unprotect, Alloc or any other method), then the touch is
+// retried; this mirrors the kernel delivering SIGSEGV and restarting
+// the faulting instruction (Figure 2 of the paper). If no handler is
+// installed the protection is ignored.
 func (as *AddressSpace) Touch(addr uint64, isWrite bool, touchDomain topology.DomainID) (topology.DomainID, bool, error) {
 	home, first, _, _, err := as.TouchRegion(addr, isWrite, touchDomain)
 	return home, first, err
 }
 
-// TouchRegion is Touch fused with RegionOf: one lock acquisition
+// TouchRegion is Touch fused with RegionOf: one page-table index
 // resolves the page and returns the allocation containing addr. The
-// execution engine resolves every access through it: one lock
-// round-trip and one page-table index, where Touch followed by RegionOf
-// would take the lock twice. Semantics are identical to Touch followed
-// by RegionOf.
+// execution engine resolves every access through it. Semantics are
+// identical to Touch followed by RegionOf.
 func (as *AddressSpace) TouchRegion(addr uint64, isWrite bool, touchDomain topology.DomainID) (topology.DomainID, bool, Region, bool, error) {
+	// Almost every access hits a page already touched and not
+	// protected: it needs no fault and no placement, only the page and
+	// its region's bound. A touched page always belongs to a live
+	// allocation (Free resets its pages), so pg.region indexes one.
+	if pg := as.pageAt(addr); pg != nil && pg.touched && pg.prot&ProtRW == ProtRW {
+		if r := as.regions[pg.region]; r.Contains(addr) {
+			return pg.home, false, r, true, nil
+		}
+	}
 	for attempt := 0; ; attempt++ {
-		as.mu.Lock()
-		pg, r, ok := as.regionOfLocked(addr)
+		pg, r, ok := as.lookup(addr)
 		if !ok {
-			as.mu.Unlock()
 			return topology.NoDomain, false, Region{}, false, ErrOutOfRange
 		}
 		if pg.prot&ProtRW != ProtRW && as.handler != nil && attempt == 0 {
-			h := as.handler
-			as.mu.Unlock()
-			h(Fault{Addr: addr, IsWrite: isWrite, Region: r})
+			as.handler(Fault{Addr: addr, IsWrite: isWrite, Region: r})
 			continue // retry the faulting access, like the kernel does
 		}
 		first := !pg.touched
@@ -383,9 +378,7 @@ func (as *AddressSpace) TouchRegion(addr uint64, isWrite bool, touchDomain topol
 			}
 			pg.home = home
 		}
-		home := pg.home
-		as.mu.Unlock()
-		return home, first, r, true, nil
+		return pg.home, first, r, true, nil
 	}
 }
 
@@ -394,9 +387,7 @@ func (as *AddressSpace) TouchRegion(addr uint64, isWrite bool, touchDomain topol
 // move_pages(…, nodes=NULL) query libnuma exposes and the profiler
 // uses for every address sample (Section 4.1).
 func (as *AddressSpace) PageNode(addr uint64) (topology.DomainID, error) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	pg, _, ok := as.regionOfLocked(addr)
+	pg, _, ok := as.lookup(addr)
 	if !ok {
 		return topology.NoDomain, ErrOutOfRange
 	}
@@ -419,8 +410,6 @@ func (as *AddressSpace) Protect(base, size uint64, prot Protection) int {
 	if size == 0 {
 		return 0
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	ps := uint64(units.PageSize)
 	end := base + size
 	// Full pages are those whose start >= base and end <= end, clamped
@@ -437,9 +426,7 @@ func (as *AddressSpace) Protect(base, size uint64, prot Protection) int {
 
 // Unprotect restores read/write permission on the page containing addr.
 func (as *AddressSpace) Unprotect(addr uint64) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	if pg := as.pageLocked(addr); pg != nil {
+	if pg := as.pageAt(addr); pg != nil {
 		pg.prot = ProtRW
 	}
 }
@@ -447,9 +434,7 @@ func (as *AddressSpace) Unprotect(addr uint64) {
 // ProtectionOf returns the protection of the page containing addr.
 // Unmapped pages report ProtRW.
 func (as *AddressSpace) ProtectionOf(addr uint64) Protection {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	if pg := as.pageLocked(addr); pg != nil {
+	if pg := as.pageAt(addr); pg != nil {
 		return pg.prot
 	}
 	return ProtRW
@@ -457,8 +442,6 @@ func (as *AddressSpace) ProtectionOf(addr uint64) Protection {
 
 // Regions returns a copy of all allocations, live and freed.
 func (as *AddressSpace) Regions() []Region {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	out := make([]Region, len(as.regions))
 	copy(out, as.regions)
 	return out
@@ -473,8 +456,6 @@ func (as *AddressSpace) SetPolicy(r Region, p Policy) {
 	if p == nil || r.ID < 0 {
 		return
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	if r.ID < len(as.policies) {
 		as.policies[r.ID] = p
 	}
@@ -482,8 +463,6 @@ func (as *AddressSpace) SetPolicy(r Region, p Policy) {
 
 // PolicyOf returns the placement policy of the region.
 func (as *AddressSpace) PolicyOf(r Region) Policy {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	if r.ID < 0 || r.ID >= len(as.policies) {
 		return nil
 	}
@@ -493,8 +472,6 @@ func (as *AddressSpace) PolicyOf(r Region) Policy {
 // DomainPages counts touched pages homed in each domain, indexed by
 // domain id — the raw material for page-placement reports.
 func (as *AddressSpace) DomainPages() []uint64 {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	out := make([]uint64, as.topo.NumDomains())
 	for _, pg := range as.pages {
 		if pg.touched && pg.home >= 0 && int(pg.home) < len(out) {

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -289,6 +288,55 @@ func TestFaultDeliveryAndRetry(t *testing.T) {
 	}
 }
 
+// TestTouchedPageLeavesFastPath covers the three ways a page that was
+// already touched can stop being an ordinary hit: protection, a free,
+// and an address past the region's Size on its last page. Each must
+// take the full path, as it did before the page was touched.
+func TestTouchedPageLeavesFastPath(t *testing.T) {
+	ps := uint64(units.PageSize)
+	t.Run("protected after touch", func(t *testing.T) {
+		as := NewAddressSpace(testMachine())
+		r := as.Alloc(ps*2, nil)
+		as.Touch(r.Base, false, 1)
+		faults := 0
+		as.SetFaultHandler(func(f Fault) {
+			faults++
+			as.Unprotect(f.Addr)
+		})
+		as.Protect(r.Base, ps, ProtNone)
+		home, first, region, ok, err := as.TouchRegion(r.Base+8, true, 3)
+		if err != nil || !ok || region.ID != r.ID {
+			t.Fatalf("TouchRegion = region %+v, ok %v, err %v", region, ok, err)
+		}
+		if faults != 1 {
+			t.Fatalf("handler ran %d times, want 1", faults)
+		}
+		if first || home != 1 {
+			t.Errorf("home = %d, first = %v; want the first toucher's 1, false", home, first)
+		}
+	})
+	t.Run("freed after touch", func(t *testing.T) {
+		as := NewAddressSpace(testMachine())
+		r := as.Alloc(ps*2, nil)
+		as.Touch(r.Base+ps, false, 1)
+		as.Free(r)
+		if _, _, _, ok, err := as.TouchRegion(r.Base+ps, false, 1); err != ErrOutOfRange || ok {
+			t.Fatalf("TouchRegion after free = ok %v, err %v; want ErrOutOfRange", ok, err)
+		}
+	})
+	t.Run("past size on a touched last page", func(t *testing.T) {
+		as := NewAddressSpace(testMachine())
+		r := as.Alloc(ps+100, nil)
+		as.Touch(r.Base+ps, false, 2) // the last page, partly used
+		if _, _, _, ok, err := as.TouchRegion(r.End(), false, 2); err != ErrOutOfRange || ok {
+			t.Fatalf("TouchRegion(End) = ok %v, err %v; want ErrOutOfRange", ok, err)
+		}
+		if home, _, _, ok, err := as.TouchRegion(r.End()-1, false, 0); err != nil || !ok || home != 2 {
+			t.Fatalf("TouchRegion(End-1) = home %d, ok %v, err %v; want 2, true, nil", home, ok, err)
+		}
+	})
+}
+
 func TestNoHandlerIgnoresProtection(t *testing.T) {
 	as := NewAddressSpace(testMachine())
 	ps := uint64(units.PageSize)
@@ -361,34 +409,6 @@ func TestPolicyOf(t *testing.T) {
 	}
 	if p := as.PolicyOf(Region{ID: -1}); p != nil {
 		t.Error("PolicyOf invalid region should be nil")
-	}
-}
-
-func TestConcurrentTouch(t *testing.T) {
-	as := NewAddressSpace(testMachine())
-	ps := uint64(units.PageSize)
-	r := as.Alloc(ps*64, FirstTouch{})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for p := uint64(0); p < 64; p++ {
-				if _, _, err := as.Touch(r.Base+p*ps, false, topology.DomainID(g%4)); err != nil {
-					t.Errorf("touch: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	// Every page must have exactly one home, and once set it is stable.
-	for p := uint64(0); p < 64; p++ {
-		d1, _ := as.PageNode(r.Base + p*ps)
-		d2, _ := as.PageNode(r.Base + p*ps)
-		if d1 == topology.NoDomain || d1 != d2 {
-			t.Fatalf("page %d home unstable: %d vs %d", p, d1, d2)
-		}
 	}
 }
 
