@@ -12,7 +12,13 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,6 +30,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pmu"
 	"repro/internal/proc"
+	"repro/internal/profio"
 	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/topology"
@@ -410,6 +417,80 @@ func BenchmarkAnalyzePaperSpecs(b *testing.B) {
 		}
 	}
 	b.ReportMetric(samples/float64(b.N), "samples/op")
+}
+
+// paperSpecProfiles analyzes the 24 app x mechanism baseline specs
+// once per test binary and returns the profiles with their saved bytes.
+var paperSpecProfiles = sync.OnceValues(func() ([]*core.Profile, [][]byte) {
+	var profs []*core.Profile
+	var files [][]byte
+	for _, mech := range pmu.Names() {
+		for _, wl := range []string{"lulesh", "amg2006", "blackscholes", "umt2013"} {
+			cfg, app, err := server.Spec{Workload: wl, Mechanism: mech}.Build()
+			if err != nil {
+				panic(err)
+			}
+			prof, err := core.AnalyzeCtx(context.Background(), cfg, app)
+			if err != nil {
+				panic(err)
+			}
+			var buf bytes.Buffer
+			if err := profio.Save(&buf, prof); err != nil {
+				panic(err)
+			}
+			profs = append(profs, prof)
+			files = append(files, buf.Bytes())
+		}
+	}
+	return profs, files
+})
+
+// BenchmarkProfioLoad strictly loads the 24 baseline-spec measurement
+// files from disk with profio.LoadFile, numad's reload path; one op is
+// all 24 loads, and MB/s counts file bytes.
+func BenchmarkProfioLoad(b *testing.B) {
+	_, files := paperSpecProfiles()
+	dir := b.TempDir()
+	var paths []string
+	var n int64
+	for i, f := range files {
+		path := filepath.Join(dir, fmt.Sprintf("%02d.numaprof", i))
+		if err := os.WriteFile(path, f, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		paths = append(paths, path)
+		n += int64(len(f))
+	}
+	b.SetBytes(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, path := range paths {
+			if _, err := profio.LoadFile(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkProfioSave encodes the 24 baseline-spec profiles; one op is
+// all 24 saves, and MB/s counts file bytes.
+func BenchmarkProfioSave(b *testing.B) {
+	profs, files := paperSpecProfiles()
+	var n int64
+	for _, f := range files {
+		n += int64(len(f))
+	}
+	b.SetBytes(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range profs {
+			if err := profio.Save(io.Discard, p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 type benchApp struct {

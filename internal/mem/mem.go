@@ -169,10 +169,12 @@ func (s *System) contentionFactor(count, total uint64, domains int) float64 {
 // a CPU in domain `from` to memory homed in domain `to`. The latency is
 // the local cost scaled by the SLIT distance ratio, so a distance-16
 // remote hop costs 1.6x the local access — comfortably above the
-// paper's ">30% higher" observation.
+// paper's ">30% higher" observation. An id outside the machine,
+// NoDomain included, reads the local cost.
 func (s *System) DRAMLatency(from, to topology.DomainID) units.Cycles {
 	base := s.params.LocalDRAM
-	if from == to || from == topology.NoDomain || to == topology.NoDomain {
+	n := topology.DomainID(s.topo.NumDomains())
+	if from == to || from < 0 || from >= n || to < 0 || to >= n {
 		return base
 	}
 	ratio := float64(s.topo.Distance(from, to)) / 10.0

@@ -39,6 +39,15 @@ func TestDRAMLatencyNoDomain(t *testing.T) {
 	if got := s.DRAMLatency(0, topology.NoDomain); got != 100 {
 		t.Errorf("NoDomain to: %v", got)
 	}
+	// Ids past either end of the machine read the local cost too.
+	for _, d := range []topology.DomainID{-2, 8} {
+		if got := s.DRAMLatency(d, 0); got != 100 {
+			t.Errorf("from %d: %v", d, got)
+		}
+		if got := s.DRAMLatency(0, d); got != 100 {
+			t.Errorf("to %d: %v", d, got)
+		}
+	}
 }
 
 func TestContentionBalancedIsOne(t *testing.T) {

@@ -11,24 +11,20 @@ import (
 // TestLatencyTableMatchesFormula checks the per-region latency tables
 // against the expressions they cache: after NewEngine and after each
 // EndRegion, every pair of the machine's domains reads the formula, and
-// NoDomain falls back to it, as does an id past the machine for the hop
-// (mem.DRAMLatency indexes the distance matrix, so the DRAM formula has
-// no value there; vm never homes a page off the machine). The regions
-// pile every thread's misses onto domain 0, so the contention factors
-// leave 1 and the check is not vacuous.
+// NoDomain and the ids -2 and NumDomains() past either end of the
+// machine fall back to it. The regions pile every thread's misses onto
+// domain 0, so the contention factors leave 1 and the check is not
+// vacuous.
 func TestLatencyTableMatchesFormula(t *testing.T) {
 	e, _, site := testEngine(8)
 	n := e.Machine().NumDomains()
 	check := func(stage string) {
 		t.Helper()
-		for from := -1; from <= n; from++ {
-			for to := -1; to <= n; to++ {
+		for from := -2; from <= n; from++ {
+			for to := -2; to <= n; to++ {
 				f, d := topology.DomainID(from), topology.DomainID(to)
 				if got, want := e.hopLatency(f, d), e.fabric.HopLatency(f, d).Scale(e.linkFactor(f, d)); got != want {
 					t.Errorf("%s: hop latency %d->%d = %v, formula %v", stage, from, to, got, want)
-				}
-				if from == n || to == n {
-					continue
 				}
 				if got, want := e.dramLatency(f, d), e.memory.DRAMLatency(f, d).Scale(e.memFactor(d)); got != want {
 					t.Errorf("%s: DRAM latency %d->%d = %v, formula %v", stage, from, to, got, want)

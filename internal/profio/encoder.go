@@ -1,22 +1,20 @@
 package profio
 
-// Buffered measurement encoding. Save used to build the full Document
-// (one NodeDoc per CCT node, one map per node's metrics and ranges)
-// and hand it to encoding/json — O(nodes) allocations per save, and
-// the profio_encode benchmark row's dominant cost. The encoder here
-// streams the same bytes through buffers reused across saves (pooled,
-// so concurrent jobs in numad each get their own): the small sections
-// still go through encoding/json against a reused bytes.Buffer, while
-// the tree section — the bulk of every measurement file — is written
-// directly from cct.Node storage with no intermediate document at all.
+// Buffered measurement encoding. Save streams a profile through
+// buffers reused across saves (pooled, so concurrent jobs in numad each
+// get their own). The small sections (meta, binary, vars, timeline) go
+// through encoding/json against a reused buffer. The tree and patterns
+// sections, nearly all of every measurement file, are written by hand
+// straight from cct.Node and addrcentric.Pattern storage, with no
+// intermediate document.
 //
-// The output is byte-for-byte identical to the document path (which
-// remains in profio.go as Encode/writeDocument, serving as the
-// differential oracle in the byte-identity regression test). That means
-// replicating encoding/json exactly where the tree section touches it:
-// struct field order and omitempty semantics of NodeDoc, integer map
-// keys sorted as *strings* ("10" before "2"), HTML-escaped string
-// encoding, and the shortest-form float grammar.
+// The output is byte-for-byte what the Document-shaped reference
+// encoder writes (Encode + writeDocument, kept in the package's tests
+// as the oracle of the byte-identity tests). That means replicating
+// encoding/json exactly where the hand-written sections touch it:
+// struct field order and omitempty semantics, integer map keys sorted
+// as *strings* ("10" before "2"), HTML-escaped string encoding, and the
+// shortest-form float grammar.
 
 import (
 	"encoding/json"
@@ -40,12 +38,11 @@ import (
 // encPool.
 type encoder struct {
 	out  []byte // the assembled file
-	body []byte // current hand-written section body (tree)
+	body []byte // current hand-written section body (tree, patterns)
 	jbuf writerBuf
 	jenc *json.Encoder
 
 	vars []VarDoc
-	pats []PatternDoc
 
 	kids   []*cct.Node // sorted-children stack for the tree walk
 	owners []int       // range-owner scratch
@@ -166,33 +163,24 @@ func (e *encoder) encodeProfile(p *core.Profile) error {
 	e.encodeTreeNode(p.Tree.Root())
 	e.section(SectionTree, e.body)
 
-	e.pats = e.pats[:0]
+	e.body = e.body[:0]
 	for _, v := range p.Registry.Variables() {
 		for _, scope := range p.Patterns.Scopes(v) {
 			if pat, ok := p.Patterns.Pattern(v, scope); ok {
-				e.pats = append(e.pats, PatternDoc{
-					RegionID: v.Region.ID,
-					Bin:      addrcentric.WholeVariable,
-					Scope:    scope,
-					Threads:  pat.Threads(),
-				})
+				e.encodePattern(v.Region.ID, addrcentric.WholeVariable, scope, pat.Threads())
 			}
 			for b := 0; b < v.Bins; b++ {
 				if bp, ok := p.Patterns.BinPattern(v, b, scope); ok {
-					e.pats = append(e.pats, PatternDoc{
-						RegionID: v.Region.ID,
-						Bin:      b,
-						Scope:    scope,
-						Threads:  bp.Threads(),
-					})
+					e.encodePattern(v.Region.ID, b, scope, bp.Threads())
 				}
 			}
 		}
 	}
-	if len(e.pats) == 0 {
+	if len(e.body) == 0 {
 		e.section(SectionPatterns, nullBody)
-	} else if err := e.jsonSection(SectionPatterns, e.pats); err != nil {
-		return err
+	} else {
+		e.body = append(e.body, ']')
+		e.section(SectionPatterns, e.body)
 	}
 
 	if p.Timeline != nil {
@@ -203,6 +191,50 @@ func (e *encoder) encodeProfile(p *core.Profile) error {
 		}
 	}
 	return nil
+}
+
+// encodePattern appends one pattern to the patterns array in e.body,
+// opening the array before the first, replicating json.Marshal of
+// struct{RegionID int `json:"region_id"`; Bin int `json:"bin"`;
+// Scope string `json:"scope"`; Threads []addrcentric.ThreadRange
+// `json:"threads"`}.
+func (e *encoder) encodePattern(region, bin int, scope string, threads []addrcentric.ThreadRange) {
+	b := e.body
+	if len(b) == 0 {
+		b = append(b, '[')
+	} else {
+		b = append(b, ',')
+	}
+	b = append(b, `{"region_id":`...)
+	b = strconv.AppendInt(b, int64(region), 10)
+	b = append(b, `,"bin":`...)
+	b = strconv.AppendInt(b, int64(bin), 10)
+	b = append(b, `,"scope":`...)
+	b = appendJSONString(b, scope)
+	b = append(b, `,"threads":`...)
+	if threads == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, tr := range threads {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"Thread":`...)
+			b = strconv.AppendInt(b, int64(tr.Thread), 10)
+			b = append(b, `,"Range":{"Min":`...)
+			b = strconv.AppendUint(b, tr.Range.Min, 10)
+			b = append(b, `,"Max":`...)
+			b = strconv.AppendUint(b, tr.Range.Max, 10)
+			b = append(b, `},"Count":`...)
+			b = strconv.AppendUint(b, tr.Count, 10)
+			b = append(b, `,"Latency":`...)
+			b = strconv.AppendUint(b, uint64(tr.Latency), 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	e.body = append(b, '}')
 }
 
 // metricKeyOrder lists column ids in the order encoding/json emits
@@ -222,7 +254,7 @@ var metricKeyOrder = func() []metrics.ID {
 }()
 
 // encodeTreeNode appends one CCT node (and, recursively, its subtree)
-// to e.body, replicating json.Marshal of the equivalent NodeDoc.
+// to e.body, replicating json.Marshal of the reference encoder's NodeDoc.
 func (e *encoder) encodeTreeNode(n *cct.Node) {
 	b := e.body
 	b = append(b, `{"k":`...)

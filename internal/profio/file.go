@@ -21,14 +21,14 @@ func SaveFile(path string, p *core.Profile) error {
 	})
 }
 
-// LoadFile strictly loads a measurement file from disk.
+// LoadFile strictly loads a measurement file from disk, read in one
+// buffer sized to the file.
 func LoadFile(path string) (*core.Profile, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Load(f)
+	return load(data)
 }
 
 // atomicWrite runs write against a temp file in path's directory and

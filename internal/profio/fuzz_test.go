@@ -3,6 +3,7 @@ package profio
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -76,6 +77,66 @@ func FuzzLoadLenient(f *testing.F) {
 		}
 		if _, err := Load(bytes.NewReader(out.Bytes())); err != nil {
 			t.Fatalf("re-saved salvage does not load: %v", err)
+		}
+	})
+}
+
+// FuzzSectionBody feeds arbitrary bytes to the section decoders behind
+// a valid checksum: the body replaces one section of an otherwise valid
+// file and the record's CRC is recomputed, so damage reaches the body
+// decoders instead of stopping at the checksum as in FuzzLoadLenient.
+// Neither loader may panic, strict Load must fail exactly when the
+// lenient report is not clean, and whatever Load accepts the reference
+// decoder must accept too and re-encode to the same bytes.
+func FuzzSectionBody(f *testing.F) {
+	m := topology.New(topology.Config{
+		Name: "fuzz-m", NumDomains: 2, CPUsPerDomain: 2,
+		MemoryPerDomain: units.GiB, RemoteDistance: 16,
+	})
+	prof, err := core.Analyze(core.Config{
+		Machine: m, Mechanism: "IBS", Period: 512, TrackFirstTouch: true, Trace: true,
+	}, newDemoApp())
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, prof); err != nil {
+		f.Fatal(err)
+	}
+	base := buf.Bytes()
+	for _, name := range sectionNames {
+		f.Add(name, sectionBody(f, base, name))
+	}
+
+	f.Fuzz(func(t *testing.T, section string, body []byte) {
+		if !slices.Contains(sectionNames[:], section) {
+			return
+		}
+		file := withSection(t, base, section, body)
+		p, strictErr := Load(bytes.NewReader(file))
+		_, rep, err := LoadLenient(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("lenient load failed on a file with a valid magic line: %v", err)
+		}
+		if (strictErr == nil) != rep.Clean() {
+			t.Fatalf("strict err %v but lenient report %+v", strictErr, rep)
+		}
+		if strictErr != nil {
+			return
+		}
+		ref, err := refLoad(file)
+		if err != nil {
+			t.Fatalf("Load accepted what the reference decoder rejects: %v", err)
+		}
+		var got, want bytes.Buffer
+		if err := Save(&got, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := Save(&want, ref); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatal("Load and the reference decoder re-encode differently")
 		}
 	})
 }

@@ -2,6 +2,7 @@ package profio
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -244,13 +245,14 @@ func TestViewsRenderIdentically(t *testing.T) {
 }
 
 func TestLoadRejectsWrongVersion(t *testing.T) {
-	p := liveProfile(t)
-	doc, err := Encode(p)
-	if err != nil {
-		t.Fatal(err)
+	data := savedBytes(t)
+	meta := sectionBody(t, data, SectionMeta)
+	bad := bytes.Replace(meta, []byte(`"version":2`), []byte(`"version":99`), 1)
+	if bytes.Equal(bad, meta) {
+		t.Fatal("meta body has no version 2")
 	}
-	doc.Version = 99
-	if _, err := Decode(doc); err == nil || !strings.Contains(err.Error(), "version") {
+	_, err := Load(bytes.NewReader(withSection(t, data, SectionMeta, bad)))
+	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("expected version error, got %v", err)
 	}
 }
@@ -262,7 +264,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestEncodeNilProfile(t *testing.T) {
-	if _, err := Encode(nil); err == nil {
+	if err := Save(io.Discard, nil); err == nil {
 		t.Fatal("nil profile should error")
 	}
 }

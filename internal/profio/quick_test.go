@@ -92,13 +92,21 @@ func treesEqual(a, b *cct.Tree) bool {
 	return equal
 }
 
-// Property: any CCT round-trips through the document encoding intact.
+// Property: any CCT round-trips through the tree section's encoder and
+// decoder intact.
 func TestQuickTreeRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		tree := buildRandomTree(seed)
-		doc := encodeNode(tree.Root())
+		e := &encoder{}
+		e.encodeTreeNode(tree.Root())
+		d := decPool.Get().(*decoder)
+		defer d.release()
+		if err := d.readTree(e.body); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
 		back := cct.New()
-		decodeNodeInto(back.Root(), doc)
+		d.buildTree(back)
 		return treesEqual(tree, back)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
