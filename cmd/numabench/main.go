@@ -210,7 +210,7 @@ func main() {
 			"self-profile the run: write "+telemetry.TraceFile+" (chrome://tracing), "+
 				telemetry.SpanFile+" and "+telemetry.MetricsFile+" to this directory and print a per-phase summary")
 		benchJSON = flag.String("bench-json", "",
-			"run the hot-path micro-suite plus the Table 2 sweep and write the schema-stable report (BENCH_*.json) to this path")
+			"run the hot-path micro-suite and write the schema-stable report (BENCH_*.json) to this path")
 		benchGate = flag.String("bench-gate", "",
 			"run the micro-suite and compare benchstat-style against this committed baseline report, exiting non-zero on regression")
 	)
@@ -253,20 +253,11 @@ func main() {
 	}
 
 	// Bench mode replaces the artifact sweep entirely: -bench-json writes
-	// a fresh report (micro-suite + Table 2), -bench-gate compares a
-	// fresh micro-suite run against a committed baseline. Both may be
-	// combined; the same fresh run feeds both outputs.
+	// a fresh micro-suite report, -bench-gate compares a fresh run
+	// against a committed baseline. Both may be combined; the same fresh
+	// run feeds both outputs.
 	if *benchJSON != "" || *benchGate != "" {
-		opts := experiments.BenchOptions{}
-		if *benchJSON != "" {
-			opts.RunTable2 = true
-			opts.Table2Iters = *iters
-		}
-		rep, err := experiments.RunBench(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "numabench:", err)
-			exit(1)
-		}
+		rep := experiments.RunBench(experiments.BenchOptions{})
 		if *benchJSON != "" {
 			data, err := json.MarshalIndent(rep, "", "  ")
 			if err != nil {

@@ -31,6 +31,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -95,6 +96,34 @@ func main() {
 		fmt.Fprintln(os.Stderr, "numaprof: no workload given")
 		os.Exit(1)
 	}
+	// The spec-to-config path is shared with the numad daemon
+	// (internal/server), which is what makes a daemon-served profile
+	// byte-identical to this CLI's -profile output for the same flags.
+	// Workload is set per job.
+	spec := server.Spec{
+		Mechanism:  *mechanism,
+		Machine:    *machine,
+		Threads:    *threads,
+		Binding:    *binding,
+		Strategy:   *strategy,
+		Period:     *period,
+		Bins:       *bins,
+		Iters:      *iters,
+		FirstTouch: firstT,
+		Trace:      *doTrace,
+		Chaos:      *chaos,
+	}
+	o := options{
+		workloads:     names,
+		top:           *top,
+		cct:           *showCCT,
+		convergeEarly: *convergeEarly,
+		html:          *htmlOut,
+		profile:       *profOut,
+		optimize:      *optimize,
+		submit:        *submit,
+		follow:        *follow,
+	}
 
 	// exit finalizes telemetry (when -telemetry armed it) before leaving:
 	// every path below must go through it rather than os.Exit directly.
@@ -125,60 +154,29 @@ func main() {
 		}
 	}
 
-	if *optimize && len(names) > 1 {
-		fmt.Fprintln(os.Stderr, "numaprof: -optimize needs a single workload")
-		exit(1)
-	}
-	if *follow && *submit == "" {
-		fmt.Fprintln(os.Stderr, "numaprof: -follow needs -submit")
-		exit(1)
-	}
-	if *convergeEarly && *submit != "" {
-		// Daemon profiles are content-addressed by spec; an early-stopped
-		// run would not be byte-identical, so the flag is local-only.
-		fmt.Fprintln(os.Stderr, "numaprof: -converge-early is local-only (daemon profiles are cached by spec)")
+	if err := o.check(spec.Trace); err != nil {
+		fmt.Fprintln(os.Stderr, "numaprof:", err)
 		exit(1)
 	}
 
-	if *submit != "" {
-		// Client mode: the daemon runs the jobs; identical specs are
-		// served from its store, and the fetched measurement bytes are
-		// identical to a local -profile write.
-		if len(names) > 1 && (*htmlOut != "" || *profOut != "") {
-			fmt.Fprintln(os.Stderr, "numaprof: -html/-profile need a single workload")
-			exit(1)
+	if o.submit != "" || o.optimize || len(names) == 1 {
+		// One workload, or -submit, whose jobs the daemon runs (one per
+		// workload; submitJobs sets each Workload). The daemon serves
+		// identical specs from its store, and the fetched measurement
+		// bytes equal a local -profile write.
+		spec.Workload = names[0]
+		var err error
+		switch {
+		case o.optimize && o.submit != "":
+			err = optimizeRemote(os.Stdout, o.submit, spec)
+		case o.optimize:
+			err = optimizeLocal(ctx, os.Stdout, spec)
+		case o.submit != "":
+			err = submitJobs(os.Stdout, spec, o)
+		default:
+			err = run(ctx, os.Stdout, spec, o)
 		}
-		if *optimize {
-			if err := optimizeRemote(os.Stdout, *submit, names[0], *mechanism, *machine, *threads,
-				*binding, *strategy, *period, *bins, *iters, *firstT, *chaos); err != nil {
-				fmt.Fprintln(os.Stderr, "numaprof:", err)
-				exit(1)
-			}
-			exit(0)
-			return
-		}
-		if err := submitJobs(os.Stdout, *submit, names, *mechanism, *machine, *threads, *binding,
-			*strategy, *period, *bins, *iters, *firstT, *doTrace, *follow, *htmlOut, *profOut, *chaos); err != nil {
-			fmt.Fprintln(os.Stderr, "numaprof:", err)
-			exit(1)
-		}
-		exit(0)
-		return
-	}
-
-	if *optimize {
-		if err := optimizeLocal(ctx, os.Stdout, names[0], *mechanism, *machine, *threads, *binding,
-			*strategy, *period, *bins, *iters, *firstT, *chaos); err != nil {
-			fmt.Fprintln(os.Stderr, "numaprof:", err)
-			exit(1)
-		}
-		exit(0)
-		return
-	}
-
-	if len(names) == 1 {
-		if err := run(ctx, os.Stdout, names[0], *mechanism, *machine, *threads, *binding, *strategy,
-			*period, *bins, *iters, *top, *firstT, *showCCT, *doTrace, *convergeEarly, *htmlOut, *profOut, *chaos); err != nil {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "numaprof:", err)
 			exit(1)
 		}
@@ -188,16 +186,12 @@ func main() {
 
 	// Several workloads: each is an independent cell; reports buffer in
 	// the cells and print in the order given, so the output does not
-	// depend on the worker count. File outputs would collide, so they
-	// are single-workload only.
-	if *htmlOut != "" || *profOut != "" {
-		fmt.Fprintln(os.Stderr, "numaprof: -html/-profile need a single workload")
-		exit(1)
-	}
+	// depend on the worker count.
 	outs, err := sched.MapCtx(ctx, len(names), func(ctx context.Context, i int) (string, error) {
 		var buf bytes.Buffer
-		if err := run(ctx, &buf, names[i], *mechanism, *machine, *threads, *binding, *strategy,
-			*period, *bins, *iters, *top, *firstT, *showCCT, *doTrace, *convergeEarly, "", "", *chaos); err != nil {
+		cell := spec
+		cell.Workload = names[i]
+		if err := run(ctx, &buf, cell, o); err != nil {
 			return "", fmt.Errorf("%s: %w", names[i], err)
 		}
 		return buf.String(), nil
@@ -227,34 +221,68 @@ func main() {
 	exit(0)
 }
 
-func run(ctx context.Context, w io.Writer, workload, mechanism, machine string, threads int, binding, strategy string,
-	period uint64, bins, iters, top int, firstTouch, showCCT, doTrace, convergeEarly bool, htmlOut, profOut, chaos string) error {
+// options are the flags that are not part of the job spec: the
+// workloads to run, where they run, and what a run prints and writes.
+type options struct {
+	workloads     []string
+	top           int
+	cct           bool
+	convergeEarly bool
+	html, profile string
+	optimize      bool
+	submit        string
+	follow        bool
+}
 
-	// The spec-to-config path is shared with the numad daemon
-	// (internal/server), which is what makes a daemon-served profile
-	// byte-identical to this CLI's -profile output for the same flags.
-	spec := server.Spec{
-		Workload:   workload,
-		Mechanism:  mechanism,
-		Machine:    machine,
-		Threads:    threads,
-		Binding:    binding,
-		Strategy:   strategy,
-		Period:     period,
-		Bins:       bins,
-		Iters:      iters,
-		FirstTouch: &firstTouch,
-		Trace:      doTrace,
-		Chaos:      chaos,
+// check refuses the flag combinations numaprof cannot honour, naming
+// the offending flag; trace is -trace, which lives in the spec.
+func (o options) check(trace bool) error {
+	if o.optimize {
+		if len(o.workloads) > 1 {
+			return errors.New("-optimize needs a single workload")
+		}
+		// The optimizer prints only its own report.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-profile", o.profile != ""},
+			{"-html", o.html != ""},
+			{"-trace", trace},
+			{"-converge-early", o.convergeEarly},
+			{"-follow", o.follow},
+		} {
+			if f.set {
+				return fmt.Errorf("-optimize does not take %s", f.name)
+			}
+		}
 	}
+	if o.follow && o.submit == "" {
+		return errors.New("-follow needs -submit")
+	}
+	if o.convergeEarly && o.submit != "" {
+		// Daemon profiles are content-addressed by spec; an early-stopped
+		// run would not be byte-identical, so the flag is local-only.
+		return errors.New("-converge-early is local-only (daemon profiles are cached by spec)")
+	}
+	if len(o.workloads) > 1 && (o.html != "" || o.profile != "") {
+		// Every workload would write the same file.
+		return errors.New("-html/-profile need a single workload")
+	}
+	return nil
+}
+
+// run profiles spec locally and prints its report to w, writing the
+// -html and -profile files o names.
+func run(ctx context.Context, w io.Writer, spec server.Spec, o options) error {
 	_, buildDone := telemetry.Timed(ctx, "pipeline.build_config",
-		telemetry.String("workload", workload), telemetry.String("mechanism", mechanism))
+		telemetry.String("workload", spec.Workload), telemetry.String("mechanism", spec.Mechanism))
 	cfg, app, err := spec.Build()
 	buildDone()
 	if err != nil {
 		return err
 	}
-	if convergeEarly {
+	if o.convergeEarly {
 		// Config-level (never Spec-level) so the early-stopped profile is
 		// clearly a different artifact from the spec's cached one.
 		cfg.ConvergeEarly = true
@@ -267,38 +295,38 @@ func run(ctx context.Context, w io.Writer, workload, mechanism, machine string, 
 		return err
 	}
 	_, renderDone := telemetry.Timed(ctx, "pipeline.render_view",
-		telemetry.String("kind", "text"), telemetry.String("workload", workload))
-	fmt.Fprint(w, view.Report(prof, top))
-	if showCCT {
+		telemetry.String("kind", "text"), telemetry.String("workload", spec.Workload))
+	fmt.Fprint(w, view.Report(prof, o.top))
+	if o.cct {
 		fmt.Fprintln(w)
 		fmt.Fprint(w, view.CCT(prof, metrics.Mismatch, 6, 0.01))
 		fmt.Fprint(w, view.RenderHotPath(prof, metrics.Mismatch))
 	}
-	if doTrace && prof.Timeline != nil {
+	if spec.Trace && prof.Timeline != nil {
 		fmt.Fprintln(w)
 		fmt.Fprint(w, trace.Render(prof.Timeline, 16, 40))
 	}
 	renderDone()
-	if htmlOut != "" {
+	if o.html != "" {
 		_, htmlDone := telemetry.Timed(ctx, "pipeline.render_view",
-			telemetry.String("kind", "html"), telemetry.String("workload", workload))
-		page, err := view.HTML(prof, top)
+			telemetry.String("kind", "html"), telemetry.String("workload", spec.Workload))
+		page, err := view.HTML(prof, o.top)
 		htmlDone()
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(htmlOut, []byte(page), 0o644); err != nil {
+		if err := os.WriteFile(o.html, []byte(page), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "\nHTML report written to %s\n", htmlOut)
+		fmt.Fprintf(w, "\nHTML report written to %s\n", o.html)
 	}
-	if profOut != "" {
+	if o.profile != "" {
 		// Atomic temp+rename write: an interrupted run leaves the old
 		// measurement file (or none), never a torn one.
-		if err := profio.SaveFile(profOut, prof); err != nil {
+		if err := profio.SaveFile(o.profile, prof); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "\nmeasurement file written to %s (view with numaview)\n", profOut)
+		fmt.Fprintf(w, "\nmeasurement file written to %s (view with numaview)\n", o.profile)
 	}
 	return nil
 }
@@ -309,22 +337,7 @@ func run(ctx context.Context, w io.Writer, workload, mechanism, machine string, 
 // spec with the remedy's knobs turned, fanned out through the sched
 // pipeline (-parallel bounds the width; the report is byte-identical at
 // any width).
-func optimizeLocal(ctx context.Context, w io.Writer, workload, mechanism, machine string, threads int,
-	binding, strategy string, period uint64, bins, iters int, firstTouch bool, chaos string) error {
-
-	base := server.Spec{
-		Workload:   workload,
-		Mechanism:  mechanism,
-		Machine:    machine,
-		Threads:    threads,
-		Binding:    binding,
-		Strategy:   strategy,
-		Period:     period,
-		Bins:       bins,
-		Iters:      iters,
-		FirstTouch: &firstTouch,
-		Chaos:      chaos,
-	}
+func optimizeLocal(ctx context.Context, w io.Writer, base server.Spec) error {
 	cfg, app, err := base.Build()
 	if err != nil {
 		return err
@@ -358,24 +371,9 @@ func optimizeLocal(ctx context.Context, w io.Writer, workload, mechanism, machin
 // optimizeRemote is `-optimize -submit`: profile on the daemon, then
 // POST /api/v1/jobs/{id}/advise and print the advise job's report. Both
 // jobs are durable and deduped server-side.
-func optimizeRemote(w io.Writer, baseURL, workload, mechanism, machine string, threads int,
-	binding, strategy string, period uint64, bins, iters int, firstTouch bool, chaos string) error {
-
+func optimizeRemote(w io.Writer, baseURL string, spec server.Spec) error {
 	ctx := context.Background()
 	client := server.NewClient(baseURL)
-	spec := server.Spec{
-		Workload:   workload,
-		Mechanism:  mechanism,
-		Machine:    machine,
-		Threads:    threads,
-		Binding:    binding,
-		Strategy:   strategy,
-		Period:     period,
-		Bins:       bins,
-		Iters:      iters,
-		FirstTouch: &firstTouch,
-		Chaos:      chaos,
-	}
 	st, err := client.Submit(ctx, spec)
 	if err != nil {
 		return err
@@ -405,10 +403,6 @@ func optimizeRemote(w io.Writer, baseURL, workload, mechanism, machine string, t
 	return nil
 }
 
-// submitJobs is -submit mode: post one job per workload to a numad
-// daemon, wait for completion, and print each report in the order
-// given. With a single workload, -html and -profile fetch the daemon's
-// rendered HTML and raw measurement bytes into local files.
 // followJob streams one job's SSE events, printing a progress line per
 // snapshot and an announcement per lifecycle transition, and returns
 // the terminal status.
@@ -439,28 +433,17 @@ func followJob(ctx context.Context, w io.Writer, client *server.Client, id strin
 	})
 }
 
-func submitJobs(w io.Writer, baseURL string, names []string, mechanism, machine string, threads int,
-	binding, strategy string, period uint64, bins, iters int, firstTouch, doTrace, follow bool,
-	htmlOut, profOut, chaos string) error {
-
+// submitJobs is -submit mode: post spec to the numad daemon at o.submit
+// once per workload, wait for completion, and print each report in the
+// order given. With a single workload, -html and -profile fetch the
+// daemon's rendered HTML and raw measurement bytes into local files.
+func submitJobs(w io.Writer, spec server.Spec, o options) error {
 	ctx := context.Background()
-	client := server.NewClient(baseURL)
+	client := server.NewClient(o.submit)
+	names := o.workloads
 	ids := make([]string, len(names))
 	for i, name := range names {
-		spec := server.Spec{
-			Workload:   name,
-			Mechanism:  mechanism,
-			Machine:    machine,
-			Threads:    threads,
-			Binding:    binding,
-			Strategy:   strategy,
-			Period:     period,
-			Bins:       bins,
-			Iters:      iters,
-			FirstTouch: &firstTouch,
-			Trace:      doTrace,
-			Chaos:      chaos,
-		}
+		spec.Workload = name
 		st, err := client.Submit(ctx, spec)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
@@ -472,7 +455,7 @@ func submitJobs(w io.Writer, baseURL string, names []string, mechanism, machine 
 			st  server.JobStatus
 			err error
 		)
-		if follow {
+		if o.follow {
 			st, err = followJob(ctx, w, client, id)
 		} else {
 			st, err = client.Wait(ctx, id)
@@ -490,27 +473,27 @@ func submitJobs(w io.Writer, baseURL string, names []string, mechanism, machine 
 		if len(ids) > 1 {
 			fmt.Fprintf(w, "=== %s ===\n", names[i])
 		}
-		fmt.Fprintf(w, "job %s done on %s (cache hit: %v)\n\n", st.ID, baseURL, st.CacheHit)
+		fmt.Fprintf(w, "job %s done on %s (cache hit: %v)\n\n", st.ID, o.submit, st.CacheHit)
 		fmt.Fprint(w, text)
-		if htmlOut != "" {
+		if o.html != "" {
 			page, err := client.HTMLReport(ctx, id)
 			if err != nil {
 				return err
 			}
-			if err := os.WriteFile(htmlOut, []byte(page), 0o644); err != nil {
+			if err := os.WriteFile(o.html, []byte(page), 0o644); err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "\nHTML report written to %s\n", htmlOut)
+			fmt.Fprintf(w, "\nHTML report written to %s\n", o.html)
 		}
-		if profOut != "" {
+		if o.profile != "" {
 			raw, err := client.ProfileBytes(ctx, id)
 			if err != nil {
 				return err
 			}
-			if err := os.WriteFile(profOut, raw, 0o644); err != nil {
+			if err := os.WriteFile(o.profile, raw, 0o644); err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "\nmeasurement file written to %s (view with numaview)\n", profOut)
+			fmt.Fprintf(w, "\nmeasurement file written to %s (view with numaview)\n", o.profile)
 		}
 	}
 	return nil

@@ -357,13 +357,6 @@ func monitoredRun(ctx context.Context, cfg Config, app App) (*Profile, *proc.Eng
 	if cfg.Faults != nil && !cfg.Faults.Zero() {
 		mech = faults.Wrap(mech, cfg.Faults)
 	}
-	// Batched dispatch defers hook delivery to the end of each batch,
-	// which is observable only to hooks that read mid-batch state: the
-	// timeline records a simulated timestamp per sample, and fault
-	// supervision reads the clock (and may restart the sampler) between
-	// accesses. Those runs get the exact per-access interleave; everything
-	// else keeps batch delivery, which is bit-identical for them.
-	e.SetPerAccessDelivery(cfg.Trace || (cfg.Faults != nil && !cfg.Faults.Zero()))
 
 	// The profiler is the run's only hook: it forwards the access and
 	// compute events to the monitor itself, after its supervision pass.
@@ -617,19 +610,6 @@ func (p *profiler) supervise(ev *proc.AccessEvent) {
 			p.retryAt = 0
 		}
 	}
-}
-
-// OnAccessBatch implements proc.BatchHook: supervision over the batch,
-// then the monitor's batch observation. Supervision only has work to do
-// in fault-injected runs, and those force per-access delivery (see
-// AnalyzeCtx), so a batched run pays one early-out check per batch. The
-// loop is a belt-and-braces fallback should a faulty run ever reach
-// this path.
-func (p *profiler) OnAccessBatch(evs []proc.AccessEvent) {
-	for i := 0; i < len(evs) && p.faulty != nil && !p.fellBack; i++ {
-		p.supervise(&evs[i])
-	}
-	p.mon.OnAccessBatch(evs)
 }
 
 // fallBack snapshots the estimator window and swaps the monitored

@@ -12,13 +12,8 @@
 // The micro-suite covers the four layers of the per-access pipeline:
 // full monitored dispatch (proc → cache → mem → pmu → cct), the raw
 // set-associative cache probe, the sharded columnar CCT merge, and the
-// profio profile encode. Dispatch runs batched (LoadBatch slices of
-// benchDispatchBatch accesses); the simulated outcome is bit-identical
-// at any batch size, which TestBenchWorkStableAcrossBatchSizes pins.
-// No workload drives the engine that way: every workload, omp loop,
-// example and command issues its accesses one at a time through
-// Ctx.Load and Ctx.Store, so this row times a path only benchmarks use.
-// Whether to delete the batch path is an open ROADMAP item.
+// profio profile encode. Dispatch issues one Ctx.Load per access, the
+// path every workload, omp loop, example and command runs.
 package experiments
 
 import (
@@ -70,25 +65,10 @@ type BenchResult struct {
 	Work    uint64 `json:"work"`
 }
 
-// BenchTable2Row is one Table 2 sweep cell in the report. Every field
-// is simulated (cycle counts, not wall time), so rows are fully
-// deterministic.
-type BenchTable2Row struct {
-	Mechanism       string  `json:"mechanism"`
-	Workload        string  `json:"workload"`
-	Machine         string  `json:"machine"`
-	BaseCycles      uint64  `json:"base_cycles"`
-	MonitoredCycles uint64  `json:"monitored_cycles"`
-	Overhead        float64 `json:"overhead"`
-	PaperOverhead   float64 `json:"paper_overhead"`
-	Err             string  `json:"err,omitempty"`
-}
-
 // BenchReport is the full -bench-json artifact.
 type BenchReport struct {
-	Schema int              `json:"schema"`
-	Suite  []BenchResult    `json:"suite"`
-	Table2 []BenchTable2Row `json:"table2,omitempty"`
+	Schema int           `json:"schema"`
+	Suite  []BenchResult `json:"suite"`
 }
 
 // BenchOptions tunes RunBench.
@@ -99,11 +79,6 @@ type BenchOptions struct {
 	// (default 3). Taking the minimum discards scheduler and frequency
 	// noise, which is what makes the CI gate comparable across runs.
 	Rounds int
-	// Table2Iters scales the Table 2 sweep's workloads; 0 skips the
-	// sweep entirely (the CI gate only needs the micro-suite).
-	Table2Iters int
-	// RunTable2 includes the Table 2 sweep.
-	RunTable2 bool
 }
 
 // benchSpec couples a deterministic work pass with a timed op loop.
@@ -124,20 +99,12 @@ func benchMachine() *topology.Machine {
 	})
 }
 
-// benchDispatchBatch is the slice size the dispatch benchmark hands to
-// LoadBatch. Batching only amortizes dispatch overhead; the simulated
-// outcome is identical at batch 1.
-const benchDispatchBatch = 64
-
 // benchDispatchApp drives n loads through one site — the minimal app
-// exercising the full monitored dispatch path. batch selects the
-// delivery granularity: ≤1 issues per-access Loads, >1 issues
-// LoadBatch slices of that size through a reused address buffer.
+// exercising the full monitored dispatch path.
 type benchDispatchApp struct {
-	n     int
-	batch int
-	prog  *isa.Program
-	site  isa.SiteID
+	n    int
+	prog *isa.Program
+	site isa.SiteID
 }
 
 func (a *benchDispatchApp) Name() string { return "bench" }
@@ -155,20 +122,8 @@ func (a *benchDispatchApp) Run(e *proc.Engine) {
 	c := e.Ctx(0)
 	e.BeginRegion("bench", e.Threads())
 	r := c.Alloc(a.site, "a", 1<<26, nil)
-	if a.batch <= 1 {
-		for i := 0; i < a.n; i++ {
-			c.Load(a.site, r.Base+uint64(i%(1<<18))*64)
-		}
-	} else {
-		addrs := make([]uint64, 0, a.batch)
-		for i := 0; i < a.n; {
-			addrs = addrs[:0]
-			for len(addrs) < a.batch && i < a.n {
-				addrs = append(addrs, r.Base+uint64(i%(1<<18))*64)
-				i++
-			}
-			c.LoadBatch(a.site, addrs)
-		}
+	for i := 0; i < a.n; i++ {
+		c.Load(a.site, r.Base+uint64(i%(1<<18))*64)
 	}
 	e.EndRegion()
 }
@@ -181,12 +136,11 @@ func hashFields(vs ...any) uint64 {
 	return h.Sum64()
 }
 
-// runDispatch profiles an n-access run at the given batch size and
-// fingerprints its simulated outcome. The fingerprint is independent
-// of batch — batched delivery is bit-identical to per-access delivery.
-func runDispatch(n, batch int) uint64 {
+// runDispatch profiles an n-access run and fingerprints its simulated
+// outcome.
+func runDispatch(n int) uint64 {
 	cfg := core.Config{Machine: benchMachine(), Mechanism: "IBS", Period: 1024}
-	p, err := core.Analyze(cfg, &benchDispatchApp{n: n, batch: batch})
+	p, err := core.Analyze(cfg, &benchDispatchApp{n: n})
 	if err != nil {
 		panic(fmt.Sprintf("bench: dispatch run: %v", err))
 	}
@@ -195,9 +149,9 @@ func runDispatch(n, batch int) uint64 {
 }
 
 // benchProfile builds the profile the encode benchmark serializes.
-func benchProfile(batch int) *core.Profile {
+func benchProfile() *core.Profile {
 	cfg := core.Config{Machine: benchMachine(), Mechanism: "IBS", Period: 64}
-	p, err := core.Analyze(cfg, &benchDispatchApp{n: 1 << 14, batch: batch})
+	p, err := core.Analyze(cfg, &benchDispatchApp{n: 1 << 14})
 	if err != nil {
 		panic(fmt.Sprintf("bench: encode profile: %v", err))
 	}
@@ -239,9 +193,8 @@ func benchSuite() []benchSpec {
 			name:    BenchAccessDispatch,
 			workOps: 1 << 16,
 			setup: func() (func(int), func(int) uint64) {
-				op := func(n int) { runDispatch(n, benchDispatchBatch) }
-				work := func(ops int) uint64 { return runDispatch(ops, benchDispatchBatch) }
-				return op, work
+				op := func(n int) { runDispatch(n) }
+				return op, runDispatch
 			},
 		},
 		{
@@ -295,7 +248,7 @@ func benchSuite() []benchSpec {
 			name:    BenchProfioEncode,
 			workOps: 4,
 			setup: func() (func(int), func(int) uint64) {
-				p := benchProfile(benchDispatchBatch)
+				p := benchProfile()
 				op := func(n int) {
 					for i := 0; i < n; i++ {
 						if err := profio.Save(io.Discard, p); err != nil {
@@ -345,9 +298,8 @@ func benchMeasure(minTime time.Duration, op func(n int)) (nsPerOp float64, bytes
 	}
 }
 
-// RunBench runs the micro-suite (and optionally the Table 2 sweep) and
-// assembles the report.
-func RunBench(opts BenchOptions) (*BenchReport, error) {
+// RunBench runs the micro-suite and assembles the report.
+func RunBench(opts BenchOptions) *BenchReport {
 	defer timedExperiment("bench")()
 	rounds := opts.Rounds
 	if rounds <= 0 {
@@ -366,25 +318,7 @@ func RunBench(opts BenchOptions) (*BenchReport, error) {
 		}
 		rep.Suite = append(rep.Suite, res)
 	}
-	if opts.RunTable2 {
-		t2, err := RunTable2(opts.Table2Iters)
-		if err != nil {
-			return nil, fmt.Errorf("bench: table 2 sweep: %w", err)
-		}
-		for _, c := range t2.Cells {
-			rep.Table2 = append(rep.Table2, BenchTable2Row{
-				Mechanism:       c.Mechanism,
-				Workload:        c.Workload,
-				Machine:         c.Machine,
-				BaseCycles:      uint64(c.Base),
-				MonitoredCycles: uint64(c.Monitored),
-				Overhead:        c.Overhead,
-				PaperOverhead:   c.PaperOverhead,
-				Err:             c.Err,
-			})
-		}
-	}
-	return rep, nil
+	return rep
 }
 
 // BenchDelta is one benchstat-style comparison row.

@@ -1,39 +1,25 @@
 package experiments
 
 import (
-	"bytes"
-	"hash/fnv"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cct"
 	"repro/internal/metrics"
-	"repro/internal/profio"
 )
 
 // TestBenchDeterministicWork is the bench determinism contract: two
 // -bench-json runs on the same build must agree on every non-timing
-// field — the suite's names, work op counts and work fingerprints, and
-// every Table 2 row (all Table 2 fields are simulated cycles, never
-// wall time). Only ns_per_op / bytes_per_op / allocs_per_op / iters
-// may differ between runs.
+// field — the suite's names, work op counts and work fingerprints.
+// Only ns_per_op / bytes_per_op / allocs_per_op / iters may differ
+// between runs.
 func TestBenchDeterministicWork(t *testing.T) {
 	opts := BenchOptions{
-		MinTime:     time.Millisecond, // timing fields are not under test
-		Rounds:      1,
-		RunTable2:   true,
-		Table2Iters: 1,
+		MinTime: time.Millisecond, // timing fields are not under test
+		Rounds:  1,
 	}
-	a, err := RunBench(opts)
-	if err != nil {
-		t.Fatalf("first RunBench: %v", err)
-	}
-	b, err := RunBench(opts)
-	if err != nil {
-		t.Fatalf("second RunBench: %v", err)
-	}
+	a, b := RunBench(opts), RunBench(opts)
 
 	if a.Schema != b.Schema {
 		t.Errorf("schema differs across runs: %d vs %d", a.Schema, b.Schema)
@@ -56,13 +42,6 @@ func TestBenchDeterministicWork(t *testing.T) {
 			t.Errorf("%s: work fingerprint %#x vs %#x — the simulated outcome of a fixed-size run changed between two runs of the same build",
 				ra.Name, ra.Work, rb.Work)
 		}
-	}
-
-	if len(a.Table2) == 0 {
-		t.Fatal("Table 2 sweep missing from report")
-	}
-	if !reflect.DeepEqual(a.Table2, b.Table2) {
-		t.Errorf("Table 2 rows differ across runs:\n first: %+v\nsecond: %+v", a.Table2, b.Table2)
 	}
 }
 
@@ -106,35 +85,10 @@ func TestBenchGatePolicy(t *testing.T) {
 	}
 }
 
-// TestBenchWorkStableAcrossBatchSizes pins the batching contract at the
-// bench layer: the simulated outcome a work fingerprint hashes must be
-// bit-identical whether accesses are delivered one at a time or in
-// slices. Dispatch is checked directly; the encode fingerprint covers
-// the whole pipeline (the encoded profile bytes come from a batched
-// run) and the merge fingerprint covers MergeShards at 1 vs parallel
-// workers.
-func TestBenchWorkStableAcrossBatchSizes(t *testing.T) {
-	const n = 1 << 12
-	if a, b := runDispatch(n, 1), runDispatch(n, benchDispatchBatch); a != b {
-		t.Errorf("dispatch fingerprint differs: batch=1 %#x vs batch=%d %#x",
-			a, benchDispatchBatch, b)
-	}
-
-	encodeWork := func(batch int) uint64 {
-		p := benchProfile(batch)
-		var buf bytes.Buffer
-		if err := profio.Save(&buf, p); err != nil {
-			t.Fatal(err)
-		}
-		h := fnv.New64a()
-		h.Write(buf.Bytes())
-		return hashFields(buf.Len(), h.Sum64())
-	}
-	if a, b := encodeWork(1), encodeWork(benchDispatchBatch); a != b {
-		t.Errorf("profio_encode fingerprint differs: batch=1 %#x vs batch=%d %#x",
-			a, benchDispatchBatch, b)
-	}
-
+// TestBenchWorkStableAcrossMergeWidths pins the cct_merge work
+// fingerprint: MergeShards must build the same tree serially and at the
+// worker count the benchmark times.
+func TestBenchWorkStableAcrossMergeWidths(t *testing.T) {
 	mergeWork := func(workers int) uint64 {
 		shards := benchMergeShards()
 		dst := cct.New()

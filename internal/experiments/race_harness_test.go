@@ -13,18 +13,18 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestBatchedPipelineRaceHarness is the CI race leg for the batched
-// access pipeline: one Machine and one workload (hence one shared
-// isa.Program) are shared by every concurrent cell, and the whole
-// engine → pmu → cct → profio pipeline runs at scheduler widths 1, 4,
-// and 8. Every cell at every width must produce the same determinism
-// hash as the serial reference — and under -race, any unsynchronized
-// sharing smuggled in by batch delivery, the per-worker CCT shards, or
-// the parallel shard merge fails the run outright.
+// TestPipelineRaceHarness is the CI race leg for the access pipeline:
+// one Machine and one workload (hence one shared isa.Program) are
+// shared by every concurrent cell, and the whole engine → pmu → cct →
+// profio pipeline runs at scheduler widths 1, 4, and 8. Every cell at
+// every width must produce the same determinism hash as the serial
+// reference — and under -race, any unsynchronized sharing smuggled in
+// by access delivery, the per-worker CCT shards, or the parallel shard
+// merge fails the run outright.
 //
 // CI runs this under the race detector as its own leg (see
 // .github/workflows/ci.yml); it also rides along in the normal matrix.
-func TestBatchedPipelineRaceHarness(t *testing.T) {
+func TestPipelineRaceHarness(t *testing.T) {
 	machine := topology.MagnyCours48()
 	app := workloads.NewLULESH(workloads.Params{Iters: 2})
 

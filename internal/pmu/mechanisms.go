@@ -36,27 +36,21 @@ func jitterNext(period uint64, rng *uint64) uint64 {
 	return period - period/4 + (*rng>>33)%span
 }
 
-// state returns thread tid's counter state, growing the table on
-// demand. Growth seeds each new slot from its index, so state content
-// is a pure function of tid — it does not matter when a slot is first
-// materialized. Batch observers hoist this lookup out of their event
-// loops. period must be non-zero.
-func (p *periodCounter) state(tid int, period uint64) *ctrState {
+// add credits n events to thread tid and returns how many times the
+// sampling threshold was crossed (i.e., how many samples fire). The
+// table grows on demand, and growth seeds each new slot from its index,
+// so a slot's content is a pure function of tid: it does not matter
+// when a slot is first materialized.
+func (p *periodCounter) add(tid int, n, period uint64) int {
+	if period == 0 {
+		return 0
+	}
 	for tid >= len(p.counts) {
 		s := ctrState{rng: uint64(len(p.counts))*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d}
 		s.next = jitterNext(period, &s.rng)
 		p.counts = append(p.counts, s)
 	}
-	return &p.counts[tid]
-}
-
-// add credits n events to thread tid and returns how many times the
-// sampling threshold was crossed (i.e., how many samples fire).
-func (p *periodCounter) add(tid int, n, period uint64) int {
-	if period == 0 {
-		return 0
-	}
-	st := p.state(tid, period)
+	st := &p.counts[tid]
 	st.count += n
 	fired := 0
 	for st.count >= st.next {
@@ -65,22 +59,6 @@ func (p *periodCounter) add(tid int, n, period uint64) int {
 		fired++
 	}
 	return fired
-}
-
-// tick credits one event to a hoisted counter state and reports whether
-// a sample fires — the inlined batch-loop equivalent of add(tid, 1, p)
-// (multiple threshold crossings from one event still collapse to one
-// sample, exactly like AccessOutcome.Sampled).
-func (st *ctrState) tick(period uint64) bool {
-	st.count++
-	if st.count < st.next {
-		return false
-	}
-	for st.count >= st.next {
-		st.count -= st.next
-		st.next = jitterNext(period, &st.rng)
-	}
-	return true
 }
 
 // IBS is AMD instruction-based sampling: the PMU tags every Nth
@@ -129,20 +107,6 @@ func (m *IBS) Period() uint64 { return m.period }
 func (m *IBS) ObserveAccess(ev *proc.AccessEvent) AccessOutcome {
 	fired := m.ctr.add(ev.Thread.ID, 1, m.period)
 	return AccessOutcome{Sampled: fired > 0}
-}
-
-// ObserveAccessBatch implements BatchMechanism: every access counts.
-func (m *IBS) ObserveAccessBatch(evs []proc.AccessEvent, fired []int) ([]int, units.Cycles) {
-	if m.period == 0 || len(evs) == 0 {
-		return fired, 0
-	}
-	st := m.ctr.state(evs[0].Thread.ID, m.period)
-	for i := range evs {
-		if st.tick(m.period) {
-			fired = append(fired, i)
-		}
-	}
-	return fired, 0
 }
 
 // ObserveCompute implements Mechanism.
@@ -202,24 +166,6 @@ func (m *MRK) ObserveAccess(ev *proc.AccessEvent) AccessOutcome {
 	return AccessOutcome{Sampled: fired > 0}
 }
 
-// ObserveAccessBatch implements BatchMechanism: only accesses satisfied
-// beyond the local L3 count.
-func (m *MRK) ObserveAccessBatch(evs []proc.AccessEvent, fired []int) ([]int, units.Cycles) {
-	if m.period == 0 || len(evs) == 0 {
-		return fired, 0
-	}
-	st := m.ctr.state(evs[0].Thread.ID, m.period)
-	for i := range evs {
-		if !evs[i].Source.BeyondLocalL3() {
-			continue
-		}
-		if st.tick(m.period) {
-			fired = append(fired, i)
-		}
-	}
-	return fired, 0
-}
-
 // ObserveCompute implements Mechanism: MRK never samples non-memory
 // instructions.
 func (m *MRK) ObserveCompute(*proc.Thread, uint64) (int, units.Cycles) { return 0, 0 }
@@ -270,20 +216,6 @@ func (m *PEBS) Period() uint64 { return m.period }
 func (m *PEBS) ObserveAccess(ev *proc.AccessEvent) AccessOutcome {
 	fired := m.ctr.add(ev.Thread.ID, 1, m.period)
 	return AccessOutcome{Sampled: fired > 0}
-}
-
-// ObserveAccessBatch implements BatchMechanism: every access counts.
-func (m *PEBS) ObserveAccessBatch(evs []proc.AccessEvent, fired []int) ([]int, units.Cycles) {
-	if m.period == 0 || len(evs) == 0 {
-		return fired, 0
-	}
-	st := m.ctr.state(evs[0].Thread.ID, m.period)
-	for i := range evs {
-		if st.tick(m.period) {
-			fired = append(fired, i)
-		}
-	}
-	return fired, 0
 }
 
 // ObserveCompute implements Mechanism.
@@ -342,24 +274,6 @@ func (m *DEAR) ObserveAccess(ev *proc.AccessEvent) AccessOutcome {
 	}
 	fired := m.ctr.add(ev.Thread.ID, 1, m.period)
 	return AccessOutcome{Sampled: fired > 0}
-}
-
-// ObserveAccessBatch implements BatchMechanism: loads above the latency
-// threshold count.
-func (m *DEAR) ObserveAccessBatch(evs []proc.AccessEvent, fired []int) ([]int, units.Cycles) {
-	if m.period == 0 || len(evs) == 0 {
-		return fired, 0
-	}
-	st := m.ctr.state(evs[0].Thread.ID, m.period)
-	for i := range evs {
-		if evs[i].IsStore || evs[i].Latency < DEARLatencyThreshold {
-			continue
-		}
-		if st.tick(m.period) {
-			fired = append(fired, i)
-		}
-	}
-	return fired, 0
 }
 
 // ObserveCompute implements Mechanism.
@@ -433,25 +347,6 @@ func (m *PEBSLL) ObserveAccess(ev *proc.AccessEvent) AccessOutcome {
 	return AccessOutcome{Sampled: fired > 0}
 }
 
-// ObserveAccessBatch implements BatchMechanism: qualifying loads count,
-// sampled or not, toward the absolute event counter.
-func (m *PEBSLL) ObserveAccessBatch(evs []proc.AccessEvent, fired []int) ([]int, units.Cycles) {
-	if m.period == 0 || len(evs) == 0 {
-		return fired, 0
-	}
-	st := m.ctr.state(evs[0].Thread.ID, m.period)
-	for i := range evs {
-		if evs[i].IsStore || evs[i].Latency < PEBSLLLatencyThreshold {
-			continue
-		}
-		m.absoluteEvents++
-		if st.tick(m.period) {
-			fired = append(fired, i)
-		}
-	}
-	return fired, 0
-}
-
 // ObserveCompute implements Mechanism.
 func (m *PEBSLL) ObserveCompute(*proc.Thread, uint64) (int, units.Cycles) { return 0, 0 }
 
@@ -501,21 +396,6 @@ func (m *SoftIBS) Period() uint64 { return m.period }
 func (m *SoftIBS) ObserveAccess(ev *proc.AccessEvent) AccessOutcome {
 	fired := m.ctr.add(ev.Thread.ID, 1, m.period)
 	return AccessOutcome{Sampled: fired > 0}
-}
-
-// ObserveAccessBatch implements BatchMechanism: every instrumented
-// access counts (the per-access stub tax is charged by the Monitor).
-func (m *SoftIBS) ObserveAccessBatch(evs []proc.AccessEvent, fired []int) ([]int, units.Cycles) {
-	if m.period == 0 || len(evs) == 0 {
-		return fired, 0
-	}
-	st := m.ctr.state(evs[0].Thread.ID, m.period)
-	for i := range evs {
-		if st.tick(m.period) {
-			fired = append(fired, i)
-		}
-	}
-	return fired, 0
 }
 
 // ObserveCompute implements Mechanism: only memory accesses are

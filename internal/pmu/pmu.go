@@ -135,20 +135,6 @@ type Mechanism interface {
 	ObserveCompute(t *proc.Thread, n uint64) (samples int, overhead units.Cycles)
 }
 
-// BatchMechanism is an optional Mechanism extension: the mechanism can
-// inspect a whole dispatch batch in one call. evs holds retired
-// accesses in order, all from one thread (the engine's batch contract);
-// the mechanism appends the indices of accesses that fire a sample to
-// fired and returns it, plus any non-sample overhead to charge. The
-// sampling decisions must be identical to calling ObserveAccess per
-// event — batching exists to hoist the per-thread counter lookup and
-// kill the per-access interface call, not to change semantics. All six
-// built-in mechanisms implement it; decorators (faults.Faulty) need
-// not, and the Monitor falls back to per-access observation for them.
-type BatchMechanism interface {
-	ObserveAccessBatch(evs []proc.AccessEvent, fired []int) ([]int, units.Cycles)
-}
-
 // SampleTransformer is an optional Mechanism extension: a decorator
 // (e.g. faults.Faulty) that mutates or suppresses samples after capture
 // but before delivery. Returning false drops the sample — the Monitor
@@ -169,17 +155,12 @@ type Monitor struct {
 	prog *isa.Program
 	cb   func(*Sample)
 
-	// caps, tr, and bm cache the mechanism's Caps() and its
-	// SampleTransformer/BatchMechanism type assertions, all invariant
-	// between SetMechanism calls; the per-sample path must not
-	// re-derive them on every delivery.
+	// caps and tr cache the mechanism's Caps() and its
+	// SampleTransformer type assertion, both invariant between
+	// SetMechanism calls; the per-sample path must not re-derive them on
+	// every delivery.
 	caps Capability
 	tr   SampleTransformer
-	bm   BatchMechanism
-
-	// firedBuf is the scratch index slice reused across batch
-	// observations.
-	firedBuf []int
 
 	// sampleBuf is the scratch sample reused across deliveries. The
 	// callback must not retain the pointer; samples are consumed
@@ -234,7 +215,6 @@ func (m *Monitor) SetMechanism(mech Mechanism) {
 	m.costs = DefaultCosts(mech.Name())
 	m.caps = mech.Caps()
 	m.tr, _ = mech.(SampleTransformer)
-	m.bm, _ = mech.(BatchMechanism)
 }
 
 // SamplesLost returns the number of captured samples a
@@ -288,41 +268,9 @@ func (m *Monitor) OnAccess(ev *proc.AccessEvent) {
 	m.deliverSample(ev)
 }
 
-// OnAccessBatch implements proc.BatchHook: one mechanism call observes
-// the whole batch, then samples are captured and delivered for the
-// accesses that fired, in order. The instrumentation tax, sampling
-// decisions, and delivered samples are identical to per-access
-// observation (overhead charges are additive, so bulk-charging the
-// per-access tax up front changes no observable state).
-func (m *Monitor) OnAccessBatch(evs []proc.AccessEvent) {
-	if m.stopped || len(evs) == 0 {
-		return
-	}
-	if m.bm == nil {
-		for i := range evs {
-			m.OnAccess(&evs[i])
-		}
-		return
-	}
-	if m.costs.PerAccess > 0 {
-		cost := m.costs.PerAccess * units.Cycles(len(evs))
-		evs[0].Thread.AddOverhead(cost)
-		m.overheadCharged += cost
-	}
-	fired, overhead := m.bm.ObserveAccessBatch(evs, m.firedBuf[:0])
-	m.firedBuf = fired
-	if overhead > 0 {
-		evs[0].Thread.AddOverhead(overhead)
-		m.overheadCharged += overhead
-	}
-	for _, i := range fired {
-		m.deliverSample(&evs[i])
-	}
-}
-
 // deliverSample captures a sample for a fired access and delivers it:
-// the tail of the PMU interrupt handler, shared by the per-access and
-// batched paths.
+// the tail of the PMU interrupt handler, kept out of OnAccess because
+// most accesses do not fire.
 func (m *Monitor) deliverSample(ev *proc.AccessEvent) {
 	cost := m.costs.PerSample
 	caps := m.caps

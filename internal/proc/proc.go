@@ -193,23 +193,6 @@ type Hook interface {
 	OnRegionEnd(name string)
 }
 
-// BatchHook is an optional Hook extension for hooks that can consume a
-// whole dispatch batch in one call. When a workload issues accesses
-// through LoadBatch/StoreBatch, the engine calls OnAccessBatch once per
-// hook per batch instead of OnAccess once per hook per access —
-// amortizing the dynamic dispatch that dominates the per-access budget.
-//
-// The events are in retirement order, all from one thread and one
-// instruction site. The slice and its events are scratch owned by the
-// engine, valid only for the duration of the call (the same
-// no-retention contract OnAccess has). Hooks that don't implement
-// BatchHook still receive every event via OnAccess; delivery stays in
-// hook-registration order either way.
-type BatchHook interface {
-	Hook
-	OnAccessBatch(evs []AccessEvent)
-}
-
 // BaseHook is a no-op Hook for embedding.
 type BaseHook struct{}
 
@@ -245,13 +228,6 @@ type Engine struct {
 
 	threads []*Thread
 	hooks   []Hook
-	// batchHooks is index-aligned with hooks: the hook's BatchHook view,
-	// or nil if it only consumes single events. Cached at AddHook so the
-	// dispatch loop never re-asserts the interface.
-	batchHooks []BatchHook
-	// perAccess forces batched dispatch through the one-access-at-a-time
-	// path (see SetPerAccessDelivery).
-	perAccess bool
 
 	// Contention factors from the previous region (feedback model).
 	memFactors  []float64
@@ -280,10 +256,6 @@ type Engine struct {
 	// the pointer (the Hook contract), and accesses never nest, so one
 	// buffer serves every access.
 	accessEv AccessEvent
-
-	// batchEvs is the scratch event slice for batched dispatch, reused
-	// across batches under the same no-retention contract.
-	batchEvs []AccessEvent
 
 	// staticRegions backs the program's symbol-table statics.
 	staticRegions []vm.Region
@@ -477,20 +449,7 @@ func (e *Engine) NumThreads() int { return len(e.threads) }
 // AddHook registers an observer. Hooks run in registration order.
 func (e *Engine) AddHook(h Hook) {
 	e.hooks = append(e.hooks, h)
-	bh, _ := h.(BatchHook)
-	e.batchHooks = append(e.batchHooks, bh)
 }
-
-// SetPerAccessDelivery forces LoadBatch/StoreBatch to deliver events
-// through the one-at-a-time access path instead of batching. Batched
-// delivery defers hook notification (and the thread's cycle-counter
-// flush) to the end of the batch, which is invisible to hooks that only
-// accumulate — but a hook that reads mid-batch engine state (simulated
-// timestamps via Now for tracing, or fault supervision that may swap
-// the mechanism between accesses) needs the exact per-access
-// interleave. The profiler enables this for traced and fault-injected
-// runs; everything else keeps the batched fast path.
-func (e *Engine) SetPerAccessDelivery(on bool) { e.perAccess = on }
 
 // TotalTime returns the simulated program time accumulated so far: the
 // sum over completed regions of the slowest team member's cycles.
@@ -621,83 +580,14 @@ func (e *Engine) access(t *Thread, site isa.SiteID, addr uint64, isStore bool) {
 	e.currentThread, e.currentSite = nil, isa.NoSite
 }
 
-// accessBatch simulates a slice of same-site loads or stores on t.
-// It is semantically a loop over access — and literally one when
-// per-access delivery is forced — but on the fast path it hoists the
-// in-flight markers and counter flushes out of the loop and delivers
-// events to hooks batch-at-a-time, amortizing interface dispatch.
-// Counter flushes are additive (never snapshot assignments) because
-// fault handlers running inside Touch may charge overhead to t
-// mid-batch.
-func (e *Engine) accessBatch(t *Thread, site isa.SiteID, addrs []uint64, isStore bool) {
-	if e.perAccess {
-		for _, addr := range addrs {
-			e.access(t, site, addr, isStore)
-		}
-		return
-	}
-	if len(addrs) == 0 {
-		return
-	}
-	e.currentThread, e.currentSite = t, site
-	needEvs := len(e.hooks) > 0
-	evs := e.batchEvs[:0]
-	if needEvs {
-		if cap(evs) < len(addrs) {
-			evs = make([]AccessEvent, len(addrs))
-		}
-		evs = evs[:len(addrs)]
-	}
-	var (
-		cycles       units.Cycles
-		remote       uint64
-		remoteCycles units.Cycles
-	)
-	for i, addr := range addrs {
-		ev := &e.accessEv
-		if needEvs {
-			ev = &evs[i]
-		}
-		e.resolve(ev, t, site, addr, isStore)
-		cycles += 1 + ev.Latency
-		if ev.Source.IsRemote() {
-			remote++
-			remoteCycles += ev.Latency
-		}
-	}
-	n := uint64(len(addrs))
-	t.instructions += n
-	t.memAccesses += n
-	t.cycles += cycles
-	t.regionCycles += cycles
-	e.totalInstructions += n
-	e.totalMemAccesses += n
-	e.totalRemote += remote
-	e.totalRemoteCycles += remoteCycles
-	if needEvs {
-		e.batchEvs = evs
-		for i, h := range e.hooks {
-			if bh := e.batchHooks[i]; bh != nil {
-				bh.OnAccessBatch(evs)
-				continue
-			}
-			for j := range evs {
-				h.OnAccess(&evs[j])
-			}
-		}
-	}
-	e.currentThread, e.currentSite = nil, isa.NoSite
-}
-
-// resolve is the memory side of one access by t, shared by access and
-// accessBatch: the page touch, the cache probe, and the DRAM or fabric
-// latency with its contention traffic. It writes the outcome into ev
-// field by field — assigning a composite literal would build the event
-// on the stack and copy it — and assigns every field, so a reused event
-// carries nothing over from the previous access
-// (TestAccessEventFillCoversEveryField fails when a field is added to
-// AccessEvent, as a reminder to fill it here). Callers own the
-// retirement counters and hook delivery.
+// resolve is the memory side of one access by t: the page touch, the
+// cache probe, and the DRAM or fabric latency with its contention
+// traffic. It writes the outcome into ev field by field — assigning a
+// composite literal would build the event on the stack and copy it —
+// and assigns every field, so a reused event carries nothing over from
+// the previous access (TestAccessEventFillCoversEveryField fails when a
+// field is added to AccessEvent, as a reminder to fill it here). access
+// owns the retirement counters and hook delivery.
 func (e *Engine) resolve(ev *AccessEvent, t *Thread, site isa.SiteID, addr uint64, isStore bool) {
 	home, first, region, regionOK, err := e.as.TouchRegion(addr, isStore, t.Domain)
 	if err != nil {
@@ -804,20 +694,6 @@ func (c *Ctx) Load(site isa.SiteID, addr uint64) {
 // Store retires one store to addr at the given instruction site.
 func (c *Ctx) Store(site isa.SiteID, addr uint64) {
 	c.e.access(c.t, site, addr, true)
-}
-
-// LoadBatch retires one load per address in addrs, in order, all at the
-// given instruction site — exactly equivalent to calling Load in a
-// loop, but the engine amortizes dispatch over the slice (see
-// BatchHook). The workloads do not use it; they issue Load and Store.
-func (c *Ctx) LoadBatch(site isa.SiteID, addrs []uint64) {
-	c.e.accessBatch(c.t, site, addrs, false)
-}
-
-// StoreBatch retires one store per address in addrs, in order, all at
-// the given instruction site; the store analogue of LoadBatch.
-func (c *Ctx) StoreBatch(site isa.SiteID, addrs []uint64) {
-	c.e.accessBatch(c.t, site, addrs, true)
 }
 
 // Compute retires n non-memory instructions (1 cycle each).

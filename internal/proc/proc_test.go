@@ -98,47 +98,40 @@ func TestAccessAccounting(t *testing.T) {
 	}
 }
 
-// TestFirstTouchVisibleInEvent runs on both delivery paths, which fill
-// engine-owned events in place: the unmapped access after two mapped
-// ones must inherit none of their fields.
+// TestFirstTouchVisibleInEvent checks the engine-owned event, which
+// access fills in place: the unmapped access after two mapped ones must
+// inherit none of their fields.
 func TestFirstTouchVisibleInEvent(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		e, _, site := testEngine(2)
-		rec := &recorder{}
-		e.AddHook(rec)
-		c := e.Ctx(0)
-		e.BeginRegion("main", e.Threads())
-		c.Alloc(site, "pad", 4096, nil) // so r's ID is not the zero Region's
-		r := c.Alloc(site, "a", 4096, nil)
-		if batched {
-			c.StoreBatch(site, []uint64{r.Base})
-			c.LoadBatch(site, []uint64{r.Base, 0x1})
-		} else {
-			c.Store(site, r.Base)
-			c.Load(site, r.Base)
-			c.Load(site, 0x1)
-		}
-		e.EndRegion()
+	e, _, site := testEngine(2)
+	rec := &recorder{}
+	e.AddHook(rec)
+	c := e.Ctx(0)
+	e.BeginRegion("main", e.Threads())
+	c.Alloc(site, "pad", 4096, nil) // so r's ID is not the zero Region's
+	r := c.Alloc(site, "a", 4096, nil)
+	c.Store(site, r.Base)
+	c.Load(site, r.Base)
+	c.Load(site, 0x1)
+	e.EndRegion()
 
-		if len(rec.accesses) != 3 {
-			t.Fatalf("batched=%v: hook saw %d accesses, want 3", batched, len(rec.accesses))
-		}
-		if !rec.accesses[0].FirstTouch {
-			t.Errorf("batched=%v: first access should be a first touch", batched)
-		}
-		if rec.accesses[1].FirstTouch {
-			t.Errorf("batched=%v: second access should not be a first touch", batched)
-		}
-		if rec.accesses[0].Home != 0 {
-			t.Errorf("batched=%v: home = %d, want 0 (thread 0 runs in domain 0)", batched, rec.accesses[0].Home)
-		}
-		if !rec.accesses[0].RegionValid || rec.accesses[0].Region != r {
-			t.Errorf("batched=%v: event should carry the containing allocation", batched)
-		}
-		if ev := rec.accesses[2]; ev.EA != 0x1 || ev.IsStore || ev.FirstTouch ||
-			ev.Home != topology.NoDomain || ev.RegionValid || ev.Region != (vm.Region{}) {
-			t.Errorf("batched=%v: unmapped access event carries stale fields: %+v", batched, ev)
-		}
+	if len(rec.accesses) != 3 {
+		t.Fatalf("hook saw %d accesses, want 3", len(rec.accesses))
+	}
+	if !rec.accesses[0].FirstTouch {
+		t.Errorf("first access should be a first touch")
+	}
+	if rec.accesses[1].FirstTouch {
+		t.Errorf("second access should not be a first touch")
+	}
+	if rec.accesses[0].Home != 0 {
+		t.Errorf("home = %d, want 0 (thread 0 runs in domain 0)", rec.accesses[0].Home)
+	}
+	if !rec.accesses[0].RegionValid || rec.accesses[0].Region != r {
+		t.Errorf("event should carry the containing allocation")
+	}
+	if ev := rec.accesses[2]; ev.EA != 0x1 || ev.IsStore || ev.FirstTouch ||
+		ev.Home != topology.NoDomain || ev.RegionValid || ev.Region != (vm.Region{}) {
+		t.Errorf("unmapped access event carries stale fields: %+v", ev)
 	}
 }
 
