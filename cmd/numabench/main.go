@@ -199,6 +199,21 @@ func artifacts() []artifact {
 	}
 }
 
+// checkBenchFlags refuses, in bench mode (-bench-json, -bench-gate),
+// the flags that only the artifact sweep reads; set names the flags
+// given on the command line.
+func checkBenchFlags(bench bool, set map[string]bool) error {
+	if !bench {
+		return nil
+	}
+	for _, name := range []string{"run", "out", "iters"} {
+		if set[name] {
+			return fmt.Errorf("-bench-json/-bench-gate run no artifacts and do not take -%s", name)
+		}
+	}
+	return nil
+}
+
 func main() {
 	var (
 		runList  = flag.String("run", "", "comma-separated artifact ids (empty: all)")
@@ -215,6 +230,12 @@ func main() {
 			"run the micro-suite and compare benchstat-style against this committed baseline report, exiting non-zero on regression")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkBenchFlags(*benchJSON != "" || *benchGate != "", set); err != nil {
+		fmt.Fprintln(os.Stderr, "numabench:", err)
+		os.Exit(1)
+	}
 	sched.SetWorkers(*parallel)
 
 	want := map[string]bool{}

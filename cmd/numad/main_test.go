@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/profio"
 	"repro/internal/server"
+	"repro/internal/telemetry"
 )
 
 // TestKillAndRestartRecovery is the durability acceptance test: a real
@@ -88,16 +89,28 @@ func TestKillAndRestartRecovery(t *testing.T) {
 
 	// The journal did its job: the restarted daemon reports recovered
 	// work, and the pre-crash job was adopted, not recomputed.
-	var m server.MetricsSnapshot
+	var m telemetry.RegistrySnapshot
 	if err := json.Unmarshal(fetch(t, base+"/metrics"), &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Recovery.Recovered == 0 {
+	if counter(t, m, "jobs_recovered_total") == 0 {
 		t.Error("restarted daemon recovered no jobs; the burst should have been interrupted")
 	}
 	if st := pollTerminal(t, base, id1, time.Second); st.Key != st1.Key {
 		t.Errorf("pre-crash job changed key across restart: %s != %s", st.Key, st1.Key)
 	}
+}
+
+// counter reads one counter from a /metrics snapshot. A missing name
+// fails the test: numad registers its instruments up front, so a
+// missing name is a typo that would otherwise read as 0.
+func counter(t *testing.T, m telemetry.RegistrySnapshot, name string) uint64 {
+	t.Helper()
+	v, ok := m.Counters[name]
+	if !ok {
+		t.Fatalf("/metrics has no counter %q", name)
+	}
+	return v
 }
 
 // TestJournalDisabledStartsClean checks -journal=false still boots and

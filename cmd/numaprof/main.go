@@ -22,10 +22,10 @@
 // report carries a pipeline-health block accounting for every loss.
 //
 // With -submit http://host:port the job runs on a numad daemon instead
-// of locally: the CLI posts the spec, polls to completion, and prints
-// the daemon's report. Identical specs are served from the daemon's
-// profile store, and -profile fetches measurement bytes identical to a
-// local run's.
+// of locally: the CLI posts the spec, follows the job's event stream to
+// completion, and prints the daemon's report. Identical specs are
+// served from the daemon's profile store, and -profile fetches
+// measurement bytes identical to a local run's.
 package main
 
 import (
@@ -76,7 +76,7 @@ func main() {
 		submit = flag.String("submit", "",
 			"submit the job(s) to a numad daemon at this base URL (e.g. http://localhost:7077) instead of profiling locally")
 		follow = flag.Bool("follow", false,
-			"with -submit: stream the job's live events (SSE) and print a progress line per snapshot instead of polling silently")
+			"with -submit: print a progress line per live snapshot (SSE) while waiting instead of waiting silently")
 		convergeEarly = flag.Bool("converge-early", false,
 			"local only: stop sampling once the profile's metric estimates converge; the report's health block records the early stop")
 		telemetryDir = flag.String("telemetry", "",
@@ -123,7 +123,9 @@ func main() {
 		optimize:      *optimize,
 		submit:        *submit,
 		follow:        *follow,
+		set:           map[string]bool{},
 	}
+	flag.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
 
 	// exit finalizes telemetry (when -telemetry armed it) before leaving:
 	// every path below must go through it rather than os.Exit directly.
@@ -232,6 +234,9 @@ type options struct {
 	optimize      bool
 	submit        string
 	follow        bool
+	// set names the flags given on the command line, which tells an
+	// explicit -top or -cct from its non-zero default.
+	set map[string]bool
 }
 
 // check refuses the flag combinations numaprof cannot honour, naming
@@ -251,6 +256,8 @@ func (o options) check(trace bool) error {
 			{"-trace", trace},
 			{"-converge-early", o.convergeEarly},
 			{"-follow", o.follow},
+			{"-top", o.set["top"]},
+			{"-cct", o.set["cct"]},
 		} {
 			if f.set {
 				return fmt.Errorf("-optimize does not take %s", f.name)
@@ -378,7 +385,7 @@ func optimizeRemote(w io.Writer, baseURL string, spec server.Spec) error {
 	if err != nil {
 		return err
 	}
-	if st, err = client.Wait(ctx, st.ID); err != nil {
+	if st, err = client.Follow(ctx, st.ID, nil); err != nil {
 		return err
 	}
 	if st.State != server.StateDone {
@@ -388,7 +395,7 @@ func optimizeRemote(w io.Writer, baseURL string, spec server.Spec) error {
 	if err != nil {
 		return err
 	}
-	if adv, err = client.Wait(ctx, adv.ID); err != nil {
+	if adv, err = client.Follow(ctx, adv.ID, nil); err != nil {
 		return err
 	}
 	if adv.State != server.StateDone {
@@ -403,11 +410,10 @@ func optimizeRemote(w io.Writer, baseURL string, spec server.Spec) error {
 	return nil
 }
 
-// followJob streams one job's SSE events, printing a progress line per
-// snapshot and an announcement per lifecycle transition, and returns
-// the terminal status.
-func followJob(ctx context.Context, w io.Writer, client *server.Client, id string) (server.JobStatus, error) {
-	return client.Follow(ctx, id, func(ev server.StreamEvent) {
+// printEvent is -follow's event callback: a progress line per snapshot
+// and an announcement per lifecycle transition of job id.
+func printEvent(w io.Writer, id string) func(server.StreamEvent) {
+	return func(ev server.StreamEvent) {
 		switch ev.Type {
 		case progress.EventSnapshot:
 			s := ev.Snapshot
@@ -430,7 +436,7 @@ func followJob(ctx context.Context, w io.Writer, client *server.Client, id strin
 		case progress.EventQueued, progress.EventRunning, progress.EventShutdown:
 			fmt.Fprintf(w, "%s  %s\n", id, ev.Type)
 		}
-	})
+	}
 }
 
 // submitJobs is -submit mode: post spec to the numad daemon at o.submit
@@ -451,15 +457,11 @@ func submitJobs(w io.Writer, spec server.Spec, o options) error {
 		ids[i] = st.ID
 	}
 	for i, id := range ids {
-		var (
-			st  server.JobStatus
-			err error
-		)
+		var show func(server.StreamEvent)
 		if o.follow {
-			st, err = followJob(ctx, w, client, id)
-		} else {
-			st, err = client.Wait(ctx, id)
+			show = printEvent(w, id)
 		}
+		st, err := client.Follow(ctx, id, show)
 		if err != nil {
 			return fmt.Errorf("%s: %w", names[i], err)
 		}

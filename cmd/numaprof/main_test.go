@@ -128,6 +128,7 @@ func TestCheckFlags(t *testing.T) {
 		{"plain run", options{workloads: one}, false, ""},
 		{"several workloads", options{workloads: two}, true, ""},
 		{"optimize", options{workloads: one, optimize: true}, false, ""},
+		{"optimize with default -top and -cct", options{workloads: one, optimize: true, top: 5, cct: true, set: map[string]bool{"workload": true, "optimize": true}}, false, ""},
 		{"optimize on a daemon", options{workloads: one, optimize: true, submit: url}, false, ""},
 		{"follow a daemon job", options{workloads: two, submit: url, follow: true}, true, ""},
 		{"files from one daemon job", options{workloads: one, submit: url, html: "r.html", profile: "p"}, false, ""},
@@ -139,6 +140,8 @@ func TestCheckFlags(t *testing.T) {
 		{"optimize with -trace", options{workloads: one, optimize: true}, true, "-optimize does not take -trace"},
 		{"optimize with -converge-early", options{workloads: one, optimize: true, convergeEarly: true}, false, "-optimize does not take -converge-early"},
 		{"optimize with -follow", options{workloads: one, optimize: true, submit: url, follow: true}, false, "-optimize does not take -follow"},
+		{"optimize with -top", options{workloads: one, optimize: true, top: 1, set: map[string]bool{"optimize": true, "top": true}}, false, "-optimize does not take -top"},
+		{"optimize with -cct", options{workloads: one, optimize: true, top: 5, set: map[string]bool{"optimize": true, "cct": true}}, false, "-optimize does not take -cct"},
 		{"follow without submit", options{workloads: one, follow: true}, false, "-follow needs -submit"},
 		{"converge early on a daemon", options{workloads: one, submit: url, convergeEarly: true}, false, "-converge-early is local-only"},
 		{"profile of several workloads", options{workloads: two, profile: "p"}, false, "-html/-profile need a single workload"},

@@ -71,7 +71,7 @@ func run(addr, workload, stratA, stratB string, advise bool) error {
 		ids[i] = st.ID
 	}
 	for i, strat := range []string{stratA, stratB} {
-		st, err := c.Wait(ctx, ids[i])
+		st, err := c.Follow(ctx, ids[i], nil)
 		if err != nil {
 			return err
 		}
@@ -99,7 +99,7 @@ func run(addr, workload, stratA, stratB string, advise bool) error {
 		if err != nil {
 			return fmt.Errorf("advise %s: %w", ids[0], err)
 		}
-		if st, err = c.Wait(ctx, st.ID); err != nil {
+		if st, err = c.Follow(ctx, st.ID, nil); err != nil {
 			return err
 		} else if st.State != server.StateDone {
 			return fmt.Errorf("advise job %s ended %s: %s", st.ID, st.State, st.Error)
@@ -127,8 +127,9 @@ func run(addr, workload, stratA, stratB string, advise bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\ndaemon totals: %d jobs done, %d store hits, queue depth %d\n",
-		m.Jobs.Done, m.StoreHits, m.Queue.Depth)
+	hits := m.Counters["store_mem_hits_total"] + m.Counters["store_disk_hits_total"] + m.Counters["store_dedup_waits_total"]
+	fmt.Printf("\ndaemon totals: %d jobs done, %d store hits, %d jobs queued\n",
+		m.Counters["jobs_done_total"], hits, m.Gauges["jobs_queued"])
 	return nil
 }
 

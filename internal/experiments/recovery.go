@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -28,7 +27,7 @@ import (
 // RecoveryResult carries the evaluated claims plus the headline
 // counters for rendering.
 type RecoveryResult struct {
-	Claims []Claim
+	Scorecard
 
 	// Recovered is how many interrupted jobs the restarted server
 	// re-enqueued from the journal.
@@ -40,20 +39,6 @@ type RecoveryResult struct {
 	// Retried counts the transparent retry attempts behind the flaky
 	// job's eventual success.
 	Retried uint64
-}
-
-// AllPass reports whether every recovery claim holds.
-func (r *RecoveryResult) AllPass() bool {
-	for _, c := range r.Claims {
-		if !c.Pass {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *RecoveryResult) add(id, desc string, pass bool, detail string) {
-	r.Claims = append(r.Claims, Claim{ID: id, Description: desc, Pass: pass, Detail: detail})
 }
 
 // recoverySpec is the cheapest real job: one-iteration blackscholes.
@@ -205,17 +190,17 @@ func (res *RecoveryResult) runCrashRecovery(dir string) error {
 		}
 	}
 	m := b.Metrics()
-	res.Recovered = m.Recovery.Recovered
-	res.CellsReplayed = m.Recovery.CellsReplayed
-	res.CellsRecomputed = m.Recovery.CellsRecomputed
+	res.Recovered = m.Counters["jobs_recovered_total"]
+	res.CellsReplayed = m.Counters["jobs_cells_replayed_total"]
+	res.CellsRecomputed = m.Counters["jobs_cells_recomputed_total"]
 
 	res.add("RC1", "crash mid-burst: every acknowledged job recovers to done",
-		allTerminal && m.Recovery.Recovered == 2,
-		fmt.Sprintf("recovered %d interrupted jobs (1 finished pre-crash)", m.Recovery.Recovered))
+		allTerminal && res.Recovered == 2,
+		fmt.Sprintf("recovered %d interrupted jobs (1 finished pre-crash)", res.Recovered))
 	res.add("RC2", "resumed sweep recomputes only unfinished cells",
-		len(sweepStatus.Cells) == 3 && m.Recovery.CellsReplayed == 2 && m.Recovery.CellsRecomputed == 1,
+		len(sweepStatus.Cells) == 3 && res.CellsReplayed == 2 && res.CellsRecomputed == 1,
 		fmt.Sprintf("cells replayed %d, recomputed %d of %d",
-			m.Recovery.CellsReplayed, m.Recovery.CellsRecomputed, len(sweepStatus.Cells)))
+			res.CellsReplayed, res.CellsRecomputed, len(sweepStatus.Cells)))
 
 	// Byte identity across the crash: the recovered profile equals a
 	// fresh Build + Analyze + Save of the same spec.
@@ -269,11 +254,10 @@ func (res *RecoveryResult) runRetryScenario(dir string) error {
 		return err
 	}
 	stt := awaitJob(j, time.Minute)
-	m := s.Metrics()
-	res.Retried = m.Recovery.Retried
+	res.Retried = s.Metrics().Counters["jobs_retried_total"]
 	res.add("RC3", "transient faults retried with backoff, job succeeds without the client",
-		stt.State == server.StateDone && stt.Attempt == 2 && m.Recovery.Retried == 2,
-		fmt.Sprintf("state %s after attempt %d, %d retries", stt.State, stt.Attempt, m.Recovery.Retried))
+		stt.State == server.StateDone && stt.Attempt == 2 && res.Retried == 2,
+		fmt.Sprintf("state %s after attempt %d, %d retries", stt.State, stt.Attempt, res.Retried))
 	return nil
 }
 
@@ -319,33 +303,14 @@ func (res *RecoveryResult) runBreakerScenario(dir string) error {
 	m := s.Metrics()
 	res.add("RC4", "permanent failures trip the breaker; the spec fast-fails with Retry-After",
 		failures == 2 && errors.Is(err, server.ErrCircuitOpen) && hinted &&
-			m.Recovery.BreakerTrips == 1 && m.Recovery.BreakerFastFails == 1,
+			m.Counters["jobs_breaker_trips_total"] == 1 && m.Counters["jobs_breaker_fastfails_total"] == 1,
 		fmt.Sprintf("%d permanent failures, then %v", failures, err))
 	return nil
 }
 
 // Render prints the recovery scorecard.
 func (r *RecoveryResult) Render() string {
-	var b strings.Builder
-	passed := 0
-	for _, c := range r.Claims {
-		if c.Pass {
-			passed++
-		}
-	}
-	fmt.Fprintf(&b, "Recovery scorecard: %d/%d claims hold.\n", passed, len(r.Claims))
-	fmt.Fprintf(&b, "  jobs recovered %d; sweep cells replayed %d vs recomputed %d; transparent retries %d\n",
-		r.Recovered, r.CellsReplayed, r.CellsRecomputed, r.Retried)
-	for _, c := range r.Claims {
-		mark := "PASS"
-		if !c.Pass {
-			mark = "FAIL"
-		}
-		detail := ""
-		if c.Detail != "" {
-			detail = "  [" + c.Detail + "]"
-		}
-		fmt.Fprintf(&b, "  %s %-4s %s%s\n", mark, c.ID, c.Description, detail)
-	}
-	return b.String()
+	return r.render("Recovery", fmt.Sprintf(
+		"  jobs recovered %d; sweep cells replayed %d vs recomputed %d; transparent retries %d\n",
+		r.Recovered, r.CellsReplayed, r.CellsRecomputed, r.Retried))
 }

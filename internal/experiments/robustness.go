@@ -35,7 +35,7 @@ const LPITolerance = 0.15
 // RobustnessResult carries the evaluated claims plus the headline
 // numbers for rendering.
 type RobustnessResult struct {
-	Claims []Claim
+	Scorecard
 
 	// BaselineLPIExact and BaselineLPI are the fault-free Equation 1
 	// and Equation 2 values the degraded runs are compared against.
@@ -44,20 +44,6 @@ type RobustnessResult struct {
 	// ChaosLPI is the Equation 2 estimate under 20% drops plus a hard
 	// sampler failure.
 	ChaosLPI float64
-}
-
-// AllPass reports whether every robustness claim holds.
-func (r *RobustnessResult) AllPass() bool {
-	for _, c := range r.Claims {
-		if !c.Pass {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *RobustnessResult) add(id, desc string, pass bool, detail string) {
-	r.Claims = append(r.Claims, Claim{ID: id, Description: desc, Pass: pass, Detail: detail})
 }
 
 // lpiWithin reports whether got is within tol of want (relative).
@@ -193,26 +179,7 @@ func RunRobustness(iters int) (*RobustnessResult, error) {
 
 // Render prints the robustness scorecard.
 func (r *RobustnessResult) Render() string {
-	var b strings.Builder
-	passed := 0
-	for _, c := range r.Claims {
-		if c.Pass {
-			passed++
-		}
-	}
-	fmt.Fprintf(&b, "Robustness scorecard: %d/%d claims hold.\n", passed, len(r.Claims))
-	fmt.Fprintf(&b, "  baseline lpi exact %.3f (est %.3f); under 20%% drops + hard failure: est %.3f\n",
-		r.BaselineLPIExact, r.BaselineLPI, r.ChaosLPI)
-	for _, c := range r.Claims {
-		mark := "PASS"
-		if !c.Pass {
-			mark = "FAIL"
-		}
-		detail := ""
-		if c.Detail != "" {
-			detail = "  [" + c.Detail + "]"
-		}
-		fmt.Fprintf(&b, "  %s %-4s %s%s\n", mark, c.ID, c.Description, detail)
-	}
-	return b.String()
+	return r.render("Robustness", fmt.Sprintf(
+		"  baseline lpi exact %.3f (est %.3f); under 20%% drops + hard failure: est %.3f\n",
+		r.BaselineLPIExact, r.BaselineLPI, r.ChaosLPI))
 }

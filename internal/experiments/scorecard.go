@@ -23,7 +23,8 @@ type Claim struct {
 
 // Scorecard is the reproduction checklist: every claim from the
 // paper's evaluation that this repository undertakes to reproduce,
-// evaluated against a fresh run.
+// evaluated against a fresh run. The robustness and recovery
+// scorecards embed it for their own claims.
 type Scorecard struct {
 	Claims []Claim
 }
@@ -223,8 +224,15 @@ func RunScorecard(iters int) (*Scorecard, error) {
 
 // Render prints the checklist.
 func (s *Scorecard) Render() string {
+	return s.render("Reproduction", "")
+}
+
+// render prints a "<title> scorecard: n/m claims hold." headline, the
+// summary lines (each ending in a newline), and one line per claim.
+func (s *Scorecard) render(title, summary string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Reproduction scorecard: %d/%d claims hold.\n", s.Passed(), len(s.Claims))
+	fmt.Fprintf(&b, "%s scorecard: %d/%d claims hold.\n", title, s.Passed(), len(s.Claims))
+	b.WriteString(summary)
 	for _, c := range s.Claims {
 		mark := "PASS"
 		if !c.Pass {

@@ -59,7 +59,7 @@ func TestAdviseEndpointTable(t *testing.T) {
 		t.Fatalf("running job: status %d, want 409 (%s)", resp.StatusCode, body)
 	}
 	close(release)
-	if _, err := c.Wait(ctx, held.ID); err != nil {
+	if _, err := c.Follow(ctx, held.ID, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -68,7 +68,7 @@ func TestAdviseEndpointTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, sweep.ID); err != nil {
+	if _, err := c.Follow(ctx, sweep.ID, nil); err != nil {
 		t.Fatal(err)
 	}
 	resp, body = rawPost(t, c, "/api/v1/jobs/"+sweep.ID+"/advise")
@@ -81,7 +81,7 @@ func TestAdviseEndpointTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err := c.Wait(ctx, target.ID); err != nil || st.State != StateDone {
+	if st, err := c.Follow(ctx, target.ID, nil); err != nil || st.State != StateDone {
 		t.Fatalf("target job: %+v, %v", st, err)
 	}
 	adv, err := c.Advise(ctx, target.ID)
@@ -91,7 +91,7 @@ func TestAdviseEndpointTable(t *testing.T) {
 	if adv.ID == target.ID || !adv.Spec.Advise {
 		t.Fatalf("advise job not distinct: %+v", adv)
 	}
-	st, err := c.Wait(ctx, adv.ID)
+	st, err := c.Follow(ctx, adv.ID, nil)
 	if err != nil || st.State != StateDone {
 		t.Fatalf("advise job: %+v, %v", st, err)
 	}
@@ -139,7 +139,7 @@ func TestAdviseEndpointTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := c.Wait(ctx, adv2.ID)
+	st2, err := c.Follow(ctx, adv2.ID, nil)
 	if err != nil || st2.State != StateDone {
 		t.Fatalf("second advise: %+v, %v", st2, err)
 	}
@@ -152,12 +152,11 @@ func TestAdviseEndpointTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Advisor.Requests < 2 || m.Advisor.Done < 2 || m.Advisor.RemediesApplied == 0 {
-		t.Fatalf("advisor metrics not populated: %+v", m.Advisor)
+	requests, done := must(t, m.Counters, "jobs_advise_requests_total"), must(t, m.Counters, "jobs_advise_done_total")
+	if applied := must(t, m.Counters, "jobs_remedies_applied_total"); requests < 2 || done < 2 || applied == 0 {
+		t.Fatalf("advisor metrics not populated: requests %d, done %d, remedies applied %d", requests, done, applied)
 	}
-	if _, ok := m.LatencyUs["advise_rerun"]; !ok {
-		t.Fatal("advise_rerun histogram missing from /metrics")
-	}
+	must(t, m.Histograms, "job_advise_rerun")
 }
 
 // Two advise runs over the same target — one live, one replayed from
@@ -171,7 +170,7 @@ func TestAdviseReportDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, target.ID); err != nil {
+	if _, err := c.Follow(ctx, target.ID, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -182,7 +181,7 @@ func TestAdviseReportDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st, err := c.Wait(ctx, adv.ID); err != nil || st.State != StateDone {
+		if st, err := c.Follow(ctx, adv.ID, nil); err != nil || st.State != StateDone {
 			t.Fatalf("advise run %d: %+v, %v", i, st, err)
 		}
 		blob, err := c.view(ctx, adv.ID, "advice")

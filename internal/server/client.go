@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/progress"
+	"repro/internal/telemetry"
 )
 
 // Client is a minimal Go client for a numad daemon, shared by
@@ -29,8 +30,6 @@ type Client struct {
 	BaseURL string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	// Poll is the Wait polling interval (default 50ms).
-	Poll time.Duration
 	// Retries bounds retry attempts beyond the first (0:
 	// DefaultClientRetries; negative disables retrying).
 	Retries int
@@ -193,28 +192,6 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
 		return st, err
 	}
 	return st, json.Unmarshal(data, &st)
-}
-
-// Wait polls a job until it reaches a terminal state (or ctx ends).
-func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
-	poll := c.Poll
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(poll):
-		}
-	}
 }
 
 // view fetches one rendered view of a done job.
@@ -391,9 +368,9 @@ func (c *Client) DiffText(ctx context.Context, a, b string) (string, error) {
 	return string(data), err
 }
 
-// Metrics fetches the daemon's metrics snapshot.
-func (c *Client) Metrics(ctx context.Context) (MetricsSnapshot, error) {
-	var m MetricsSnapshot
+// Metrics fetches the daemon's instrument snapshot.
+func (c *Client) Metrics(ctx context.Context) (telemetry.RegistrySnapshot, error) {
+	var m telemetry.RegistrySnapshot
 	data, err := c.do(ctx, http.MethodGet, "/metrics", nil)
 	if err != nil {
 		return m, err

@@ -343,16 +343,16 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetrics serves the JSON snapshot by default; ?format=text
-// switches to the flat `name value` exposition of the instrument
-// registry, for scrapers that want diffable lines instead of JSON.
+// handleMetrics serves the instrument snapshot as JSON by default;
+// ?format=text switches to the same snapshot's flat `name value`
+// exposition, for scrapers that want diffable lines instead of JSON.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	switch f := r.URL.Query().Get("format"); f {
 	case "", "json":
 		writeJSON(w, http.StatusOK, s.Metrics())
 	case "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		s.Metrics().Instruments.WriteText(w)
+		s.Metrics().WriteText(w)
 	default:
 		writeError(w, http.StatusBadRequest, "unknown format %q (json|text)", f)
 	}

@@ -7,19 +7,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// HistogramSnapshot is the wire form of a latency histogram — the
-// telemetry layer's, re-exported so the /metrics JSON contract keeps
-// its type name. Buckets[i] counts observations in [2^(i-1), 2^i)
-// microseconds (Buckets[0]: < 1µs); the last bucket is open-ended.
-type HistogramSnapshot = telemetry.HistogramSnapshot
-
 // metrics is the daemon's counter block, registered on the server's own
-// telemetry.Registry so /metrics can expose the raw instruments next to
-// the legacy snapshot shape. Gauges (queued, running) move both ways;
-// everything else is monotonic.
+// telemetry.Registry; /metrics serves that registry merged with the
+// process-wide telemetry.Default. Gauges (queued, running) move both
+// ways; everything else is monotonic.
 type metrics struct {
-	start time.Time
-	reg   *telemetry.Registry
+	start  time.Time
+	reg    *telemetry.Registry
+	uptime *telemetry.Gauge // whole seconds, set at snapshot time
 
 	submitted *telemetry.Counter
 	done      *telemetry.Counter
@@ -29,7 +24,7 @@ type metrics struct {
 	queued    *telemetry.Gauge
 	running   *telemetry.Gauge
 
-	// Durability + recovery instruments (PR 6).
+	// Durability and recovery instruments.
 	recovered        *telemetry.Counter // jobs re-enqueued from the journal
 	retried          *telemetry.Counter // transient-failure retry attempts
 	shed             *telemetry.Counter // deadline-infeasible rejections
@@ -38,16 +33,15 @@ type metrics struct {
 	cellsReplayed    *telemetry.Counter // sweep cells served from checkpoint
 	cellsRecomputed  *telemetry.Counter // sweep cells computed and saved
 
-	// Optimizer instruments (PR 8): advise endpoint traffic, remedies
-	// actually re-run, and per-candidate rerun latency.
+	// Optimizer instruments: advise endpoint traffic, remedies actually
+	// re-run, and per-candidate rerun latency.
 	adviseRequests  *telemetry.Counter
 	adviseDone      *telemetry.Counter
 	remediesApplied *telemetry.Counter
 
-	// Live-streaming instruments (PR 9): SSE subscribers currently
-	// attached, events written to streams, events lost to slow
-	// consumers (drop-oldest), and snapshots published by running
-	// profiles.
+	// Live-streaming instruments: SSE subscribers currently attached,
+	// events written to streams, events lost to slow consumers
+	// (drop-oldest), and snapshots published by running profiles.
 	streamSubscribers *telemetry.Gauge
 	streamEvents      *telemetry.Counter
 	streamDropped     *telemetry.Counter
@@ -60,14 +54,19 @@ type metrics struct {
 	snapLat   *telemetry.Histogram // snapshot publish → SSE write
 }
 
-// newMetrics registers the job-lifecycle instruments on reg. The
-// registry is per-Server, so concurrent servers (tests) never share
-// counters; process-wide families (sched_*, pipeline_*) live on
-// telemetry.Default and are merged in at snapshot time.
-func newMetrics(reg *telemetry.Registry) metrics {
+// newMetrics registers every job-lifecycle instrument on reg up front,
+// so each name is in the first scrape, and records the queue capacity
+// and worker count. The registry is per-Server, so concurrent servers
+// (tests) never share counters; process-wide families (sched_*,
+// pipeline_*) live on telemetry.Default and are merged in at snapshot
+// time.
+func newMetrics(reg *telemetry.Registry, capacity, workers int) metrics {
+	reg.Gauge("jobs_queue_capacity").Set(int64(capacity))
+	reg.Gauge("jobs_workers").Set(int64(workers))
 	return metrics{
 		start:     time.Now(),
 		reg:       reg,
+		uptime:    reg.Gauge("uptime_seconds"),
 		submitted: reg.Counter("jobs_submitted_total"),
 		done:      reg.Counter("jobs_done_total"),
 		failed:    reg.Counter("jobs_failed_total"),
@@ -100,73 +99,6 @@ func newMetrics(reg *telemetry.Registry) metrics {
 	}
 }
 
-// JobCounts is the job block of MetricsSnapshot.
-type JobCounts struct {
-	Submitted int64 `json:"submitted"`
-	Queued    int64 `json:"queued"`
-	Running   int64 `json:"running"`
-	Done      int64 `json:"done"`
-	Failed    int64 `json:"failed"`
-	Canceled  int64 `json:"canceled"`
-	Rejected  int64 `json:"rejected"`
-}
-
-// QueueInfo is the queue block of MetricsSnapshot.
-type QueueInfo struct {
-	Depth    int `json:"depth"`
-	Capacity int `json:"capacity"`
-	Workers  int `json:"workers"`
-}
-
-// RecoveryInfo is the durability block of MetricsSnapshot: journal
-// replay, retry, breaker, shedding, and sweep-checkpoint counters.
-type RecoveryInfo struct {
-	Recovered        uint64 `json:"recovered"`
-	Retried          uint64 `json:"retried"`
-	Shed             uint64 `json:"shed"`
-	BreakerTrips     uint64 `json:"breaker_trips"`
-	BreakerFastFails uint64 `json:"breaker_fast_fails"`
-	CellsReplayed    uint64 `json:"cells_replayed"`
-	CellsRecomputed  uint64 `json:"cells_recomputed"`
-}
-
-// AdvisorInfo is the optimizer block of MetricsSnapshot.
-type AdvisorInfo struct {
-	Requests        uint64 `json:"requests"`
-	Done            uint64 `json:"done"`
-	RemediesApplied uint64 `json:"remedies_applied"`
-}
-
-// StreamingInfo is the live-streaming block of MetricsSnapshot.
-type StreamingInfo struct {
-	Subscribers int64  `json:"subscribers"`
-	Events      uint64 `json:"events"`
-	Dropped     uint64 `json:"dropped"`
-	Snapshots   uint64 `json:"snapshots"`
-}
-
-// MetricsSnapshot is what GET /metrics serves. Every pre-telemetry key
-// is unchanged (scrapers keep working); Instruments is the new unified
-// registry view carrying the jobs_*/job_* instruments, the mirrored
-// store_* counters, and the process-wide sched_*/pipeline_*/profio_*/
-// faults_* families.
-type MetricsSnapshot struct {
-	UptimeSeconds float64     `json:"uptime_seconds"`
-	Jobs          JobCounts   `json:"jobs"`
-	Queue         QueueInfo   `json:"queue"`
-	Store         store.Stats `json:"store"`
-	// StoreHits is Store's total cache hits (mem + disk + dedup),
-	// surfaced so the acceptance check "cache-hit counter > 0" is one
-	// field.
-	StoreHits uint64                       `json:"store_hits"`
-	LatencyUs map[string]HistogramSnapshot `json:"latency_us"`
-	Recovery  RecoveryInfo                 `json:"recovery"`
-	Advisor   AdvisorInfo                  `json:"advisor"`
-	Streaming StreamingInfo                `json:"streaming"`
-
-	Instruments telemetry.RegistrySnapshot `json:"instruments"`
-}
-
 // mirrorStore copies the store's per-instance Stats into the registry's
 // store_* counter family, so the exposition carries hit/miss/dedup
 // counters under stable instrument names. Set (not Add): the store owns
@@ -181,56 +113,12 @@ func (m *metrics) mirrorStore(st store.Stats) {
 	m.reg.Counter("store_corrupt_dropped_total").Set(st.CorruptDropped)
 }
 
-func (m *metrics) snapshot(st store.Stats, depth, capacity, workers int) MetricsSnapshot {
+// snapshot is what GET /metrics serves: telemetry.Default merged with
+// this server's registry, after the store stats and the uptime are
+// copied in. Default goes first, so a per-server instrument shadowing
+// a global one wins in this server's own exposition.
+func (m *metrics) snapshot(st store.Stats) telemetry.RegistrySnapshot {
 	m.mirrorStore(st)
-	return MetricsSnapshot{
-		UptimeSeconds: time.Since(m.start).Seconds(),
-		Jobs:          m.jobCounts(),
-		Queue:         QueueInfo{Depth: depth, Capacity: capacity, Workers: workers},
-		Store:         st,
-		StoreHits:     st.Hits(),
-		LatencyUs: map[string]HistogramSnapshot{
-			"queue_wait":      m.queueWait.Snapshot(),
-			"run":             m.run.Snapshot(),
-			"total":           m.total.Snapshot(),
-			"advise_rerun":    m.rerun.Snapshot(),
-			"stream_snapshot": m.snapLat.Snapshot(),
-		},
-		Advisor: AdvisorInfo{
-			Requests:        m.adviseRequests.Value(),
-			Done:            m.adviseDone.Value(),
-			RemediesApplied: m.remediesApplied.Value(),
-		},
-		Streaming: StreamingInfo{
-			Subscribers: m.streamSubscribers.Value(),
-			Events:      m.streamEvents.Value(),
-			Dropped:     m.streamDropped.Value(),
-			Snapshots:   m.streamSnapshots.Value(),
-		},
-		Recovery: RecoveryInfo{
-			Recovered:        m.recovered.Value(),
-			Retried:          m.retried.Value(),
-			Shed:             m.shed.Value(),
-			BreakerTrips:     m.breakerTrips.Value(),
-			BreakerFastFails: m.breakerFastFails.Value(),
-			CellsReplayed:    m.cellsReplayed.Value(),
-			CellsRecomputed:  m.cellsRecomputed.Value(),
-		},
-		// Default first: a per-server instrument shadowing a global one
-		// would win, and that is the right precedence for this server's
-		// own exposition.
-		Instruments: telemetry.Default.Snapshot().Merge(m.reg.Snapshot()),
-	}
-}
-
-func (m *metrics) jobCounts() JobCounts {
-	return JobCounts{
-		Submitted: int64(m.submitted.Value()),
-		Queued:    m.queued.Value(),
-		Running:   m.running.Value(),
-		Done:      int64(m.done.Value()),
-		Failed:    int64(m.failed.Value()),
-		Canceled:  int64(m.canceled.Value()),
-		Rejected:  int64(m.rejected.Value()),
-	}
+	m.uptime.Set(int64(time.Since(m.start) / time.Second))
+	return telemetry.Default.Snapshot().Merge(m.reg.Snapshot())
 }

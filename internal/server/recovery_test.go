@@ -35,8 +35,8 @@ func TestFlakyJobRetriesToSuccess(t *testing.T) {
 	if final.Attempt != 2 {
 		t.Fatalf("attempt = %d, want 2 (two injected transient failures)", final.Attempt)
 	}
-	if m := s.Metrics(); m.Recovery.Retried != 2 {
-		t.Fatalf("retried = %d, want 2", m.Recovery.Retried)
+	if got := must(t, s.Metrics().Counters, "jobs_retried_total"); got != 2 {
+		t.Fatalf("retried = %d, want 2", got)
 	}
 	// The successful attempt's profile is byte-identical to the same
 	// spec without the flaky plan... under its own key; what matters
@@ -64,27 +64,8 @@ func TestTransientExhaustionFailsJob(t *testing.T) {
 	if final.Attempt != 1 {
 		t.Fatalf("attempt = %d, want 1 (retry budget exhausted)", final.Attempt)
 	}
-	if m := s.Metrics(); m.Recovery.Retried != 1 {
-		t.Fatalf("retried = %d, want 1", m.Recovery.Retried)
-	}
-}
-
-// waitTerminal polls until the job is terminal, any state.
-func waitTerminal(t *testing.T, c *Client, id string) JobStatus {
-	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		st, err := c.Job(context.Background(), id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State.Terminal() {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %s", id, st.State)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if got := must(t, s.Metrics().Counters, "jobs_retried_total"); got != 1 {
+		t.Fatalf("retried = %d, want 1", got)
 	}
 }
 
@@ -140,8 +121,9 @@ func TestBreakerTripsFastFailsAndRecovers(t *testing.T) {
 		t.Fatal("circuit-open error carries no Retry-After hint")
 	}
 	m := s.Metrics()
-	if m.Recovery.BreakerTrips != 1 || m.Recovery.BreakerFastFails != 1 {
-		t.Fatalf("trips/fastfails = %d/%d, want 1/1", m.Recovery.BreakerTrips, m.Recovery.BreakerFastFails)
+	trips, fastFails := must(t, m.Counters, "jobs_breaker_trips_total"), must(t, m.Counters, "jobs_breaker_fastfails_total")
+	if trips != 1 || fastFails != 1 {
+		t.Fatalf("trips/fastfails = %d/%d, want 1/1", trips, fastFails)
 	}
 	// A different spec is unaffected: the breaker is per-spec-key.
 	if _, err := s.Submit(fastSpec("interleave")); err != nil {
@@ -185,8 +167,9 @@ func TestDeadlineAwareShedding(t *testing.T) {
 		t.Fatalf("shed error hint = %v/%v, want a positive Retry-After", d, ok)
 	}
 	m := s.Metrics()
-	if m.Recovery.Shed != 1 || m.Jobs.Rejected != 1 {
-		t.Fatalf("shed/rejected = %d/%d, want 1/1", m.Recovery.Shed, m.Jobs.Rejected)
+	shed, rejected := must(t, m.Counters, "jobs_shed_total"), must(t, m.Counters, "jobs_rejected_total")
+	if shed != 1 || rejected != 1 {
+		t.Fatalf("shed/rejected = %d/%d, want 1/1", shed, rejected)
 	}
 }
 
@@ -201,8 +184,8 @@ func TestSheddingNeedsHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustDone(t, c, st.ID)
-	if m := s.Metrics(); m.Recovery.Shed != 0 {
-		t.Fatalf("cold daemon shed %d jobs", m.Recovery.Shed)
+	if got := must(t, s.Metrics().Counters, "jobs_shed_total"); got != 0 {
+		t.Fatalf("cold daemon shed %d jobs", got)
 	}
 }
 
@@ -274,9 +257,8 @@ func TestSweepJobCheckpointsAndReplays(t *testing.T) {
 	if !sres.CacheHit {
 		t.Fatal("single spec after sweep should be a cache hit (same bytes, same key)")
 	}
-	m := s.Metrics()
-	if m.Recovery.CellsRecomputed != 2 {
-		t.Fatalf("cells recomputed = %d, want 2", m.Recovery.CellsRecomputed)
+	if got := must(t, s.Metrics().Counters, "jobs_cells_recomputed_total"); got != 2 {
+		t.Fatalf("cells recomputed = %d, want 2", got)
 	}
 	// An identical sweep replays every cell from the checkpoint.
 	st2, err := c.Submit(ctx, sweep)
@@ -287,8 +269,8 @@ func TestSweepJobCheckpointsAndReplays(t *testing.T) {
 	if !final2.CacheHit {
 		t.Fatal("fully checkpointed sweep not reported as a cache hit")
 	}
-	if m := s.Metrics(); m.Recovery.CellsReplayed != 2 {
-		t.Fatalf("cells replayed = %d, want 2", m.Recovery.CellsReplayed)
+	if got := must(t, s.Metrics().Counters, "jobs_cells_replayed_total"); got != 2 {
+		t.Fatalf("cells replayed = %d, want 2", got)
 	}
 }
 
@@ -311,11 +293,11 @@ func TestSweepResumesFromPartialCheckpoint(t *testing.T) {
 		t.Fatal("partially checkpointed sweep must not claim a full cache hit")
 	}
 	m := s.Metrics()
-	if m.Recovery.CellsReplayed != 1 {
-		t.Fatalf("cells replayed = %d, want 1 (the precomputed cell)", m.Recovery.CellsReplayed)
+	if got := must(t, m.Counters, "jobs_cells_replayed_total"); got != 1 {
+		t.Fatalf("cells replayed = %d, want 1 (the precomputed cell)", got)
 	}
-	if m.Recovery.CellsRecomputed != 2 {
-		t.Fatalf("cells recomputed = %d, want 2 (only the missing cells)", m.Recovery.CellsRecomputed)
+	if got := must(t, m.Counters, "jobs_cells_recomputed_total"); got != 2 {
+		t.Fatalf("cells recomputed = %d, want 2 (only the missing cells)", got)
 	}
 }
 
@@ -431,8 +413,8 @@ func TestJournalRecoveryInProcess(t *testing.T) {
 			t.Fatalf("job %s profile missing after recovery", id)
 		}
 	}
-	if m := b.Metrics(); m.Recovery.Recovered != 2 {
-		t.Fatalf("recovered = %d, want 2", m.Recovery.Recovered)
+	if got := must(t, b.Metrics().Counters, "jobs_recovered_total"); got != 2 {
+		t.Fatalf("recovered = %d, want 2", got)
 	}
 	// Job numbering continues past the replayed IDs.
 	j4, err := b.Submit(fastSpec("guided"))
@@ -528,7 +510,7 @@ func TestRecoverFailuresSurviveNextBoot(t *testing.T) {
 		}
 		// Only the re-enqueued job counts as recovered, not the ones
 		// Recover failed.
-		if got := s.Metrics().Recovery.Recovered; got != 1 {
+		if got := must(t, s.Metrics().Counters, "jobs_recovered_total"); got != 1 {
 			t.Fatalf("boot %d: recovered = %d, want 1", n+1, got)
 		}
 		s.mu.Lock()

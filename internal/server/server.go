@@ -211,7 +211,7 @@ func New(opts Options) (*Server, error) {
 		workersDone:      make(chan struct{}),
 		jobs:             make(map[string]*Job),
 		breaker:          make(map[store.Key]*breakerEntry),
-		m:                newMetrics(telemetry.NewRegistry()),
+		m:                newMetrics(telemetry.NewRegistry(), depth, workers),
 		log:              telemetry.Logger("server"),
 	}, nil
 }
@@ -384,9 +384,10 @@ func (s *Server) CancelJob(id string) (JobStatus, bool) {
 	return job.Status(), true
 }
 
-// Metrics snapshots the daemon's counters.
-func (s *Server) Metrics() MetricsSnapshot {
-	return s.m.snapshot(s.st.Stats(), len(s.queue), cap(s.queue), s.workers)
+// Metrics snapshots the daemon's instruments: the body GET /metrics
+// serves.
+func (s *Server) Metrics() telemetry.RegistrySnapshot {
+	return s.m.snapshot(s.st.Stats())
 }
 
 // Store exposes the profile store (diff and view handlers read it).

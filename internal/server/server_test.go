@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/diff"
 	"repro/internal/profio"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 // fastSpec is the cheapest real job: a one-iteration blackscholes run.
@@ -51,7 +54,6 @@ func newTestServer(t *testing.T, mod func(*Options)) (*Server, *Client) {
 		ts.Close()
 	})
 	c := NewClient(ts.URL)
-	c.Poll = 5 * time.Millisecond
 	// Tests assert exact rejection counts and statuses; the client's
 	// transparent 429/503 retry would blur them.
 	c.Retries = -1
@@ -77,18 +79,49 @@ func refProfileBytes(t *testing.T, spec Spec) []byte {
 	return buf.Bytes()
 }
 
-func mustDone(t *testing.T, c *Client, id string) JobStatus {
+// waitTerminal follows a job's event stream to its terminal state,
+// whichever it is.
+func waitTerminal(t *testing.T, c *Client, id string) JobStatus {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	st, err := c.Wait(ctx, id)
+	st, err := c.Follow(ctx, id, nil)
 	if err != nil {
-		t.Fatalf("wait %s: %v", id, err)
+		t.Fatalf("follow %s: %v", id, err)
 	}
+	return st
+}
+
+func mustDone(t *testing.T, c *Client, id string) JobStatus {
+	t.Helper()
+	st := waitTerminal(t, c, id)
 	if st.State != StateDone {
 		t.Fatalf("job %s: state %s (error %q), want done", id, st.State, st.Error)
 	}
 	return st
+}
+
+// must reads one named instrument from a section of a /metrics
+// snapshot and fails the test when the name is missing: newMetrics
+// registers every server instrument up front, so a missing name is a
+// typo, and reading it as 0 would let an == 0 check pass without
+// testing anything.
+func must[V any](t *testing.T, section map[string]V, name string) V {
+	t.Helper()
+	v, ok := section[name]
+	if !ok {
+		t.Fatalf("/metrics has no instrument %q", name)
+	}
+	return v
+}
+
+// storeHits is the store's cache hits on /metrics: memory, disk and
+// dedup-wait hits.
+func storeHits(t *testing.T, m telemetry.RegistrySnapshot) uint64 {
+	t.Helper()
+	return must(t, m.Counters, "store_mem_hits_total") +
+		must(t, m.Counters, "store_disk_hits_total") +
+		must(t, m.Counters, "store_dedup_waits_total")
 }
 
 func TestSubmitRunAndViews(t *testing.T) {
@@ -151,14 +184,93 @@ func TestSubmitRunAndViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.StoreHits == 0 {
+	if storeHits(t, m) == 0 {
 		t.Fatal("store hit counter did not move on a duplicate spec")
 	}
-	if m.Jobs.Done != 2 {
-		t.Fatalf("done = %d, want 2", m.Jobs.Done)
+	if done := must(t, m.Counters, "jobs_done_total"); done != 2 {
+		t.Fatalf("done = %d, want 2", done)
 	}
-	if m.LatencyUs["total"].Count != 2 {
-		t.Fatalf("total latency observations = %d, want 2", m.LatencyUs["total"].Count)
+	if n := must(t, m.Histograms, "job_total").Count; n != 2 {
+		t.Fatalf("total latency observations = %d, want 2", n)
+	}
+}
+
+// TestMetricsServesRegistry pins the /metrics contract: the JSON body
+// is the merged instrument snapshot and nothing else, and after a burst
+// of jobs ?format=text carries the same names and values.
+func TestMetricsServesRegistry(t *testing.T) {
+	_, c := newTestServer(t, nil)
+	ctx := context.Background()
+	var ids []string
+	for _, strat := range []string{"baseline", "interleave", "baseline", "blockwise"} {
+		st, err := c.Submit(ctx, fastSpec(strat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		mustDone(t, c, id)
+	}
+
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(c.BaseURL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, read err %v", path, resp.StatusCode, err)
+		}
+		return buf.Bytes()
+	}
+	scrape := func() telemetry.RegistrySnapshot {
+		t.Helper()
+		body := get("/metrics")
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(body, &top); err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for k := range top {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if got := strings.Join(keys, ","); got != "counters,gauges,histograms_us" {
+			t.Fatalf("/metrics top-level keys = %s, want counters,gauges,histograms_us", got)
+		}
+		var m telemetry.RegistrySnapshot
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	// The uptime gauge ticks each second and a finished stream drops
+	// its subscriber after Follow returns, so compare the text body
+	// with JSON scrapes taken on both sides of it that agree.
+	for attempt := 0; ; attempt++ {
+		before := scrape()
+		text := string(get("/metrics?format=text"))
+		if after := scrape(); !reflect.DeepEqual(before, after) {
+			if attempt == 5 {
+				t.Fatal("/metrics kept moving on an idle daemon")
+			}
+			continue
+		}
+		var want strings.Builder
+		if err := before.WriteText(&want); err != nil {
+			t.Fatal(err)
+		}
+		if text != want.String() {
+			t.Fatalf("text exposition differs from the JSON snapshot:\n--- text\n%s--- json\n%s", text, want.String())
+		}
+		if done := must(t, before.Counters, "jobs_done_total"); done != uint64(len(ids)) {
+			t.Fatalf("done = %d, want %d", done, len(ids))
+		}
+		return
 	}
 }
 
@@ -285,11 +397,12 @@ func TestBackpressureAndViewConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Jobs.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", m.Jobs.Rejected)
+	if rejected := must(t, m.Counters, "jobs_rejected_total"); rejected != 1 {
+		t.Fatalf("rejected = %d, want 1", rejected)
 	}
-	if m.Jobs.Submitted != 2 || m.Jobs.Done != 2 {
-		t.Fatalf("submitted/done = %d/%d, want 2/2", m.Jobs.Submitted, m.Jobs.Done)
+	submitted, done := must(t, m.Counters, "jobs_submitted_total"), must(t, m.Counters, "jobs_done_total")
+	if submitted != 2 || done != 2 {
+		t.Fatalf("submitted/done = %d/%d, want 2/2", submitted, done)
 	}
 }
 
@@ -338,8 +451,11 @@ func TestCancelQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Jobs.Canceled != 1 || m.Jobs.Done != 1 || m.Jobs.Queued != 0 || m.Jobs.Running != 0 {
-		t.Fatalf("gauges off after cancel: %+v", m.Jobs)
+	canceled, done := must(t, m.Counters, "jobs_canceled_total"), must(t, m.Counters, "jobs_done_total")
+	queued, running := must(t, m.Gauges, "jobs_queued"), must(t, m.Gauges, "jobs_running")
+	if canceled != 1 || done != 1 || queued != 0 || running != 0 {
+		t.Fatalf("gauges off after cancel: canceled %d, done %d, queued %d, running %d",
+			canceled, done, queued, running)
 	}
 }
 
@@ -396,8 +512,9 @@ func TestCancelMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Jobs.Canceled != 1 || m.Jobs.Done != 1 || m.Jobs.Running != 0 {
-		t.Fatalf("gauges off after mid-run cancel: %+v", m.Jobs)
+	canceled, done := must(t, m.Counters, "jobs_canceled_total"), must(t, m.Counters, "jobs_done_total")
+	if running := must(t, m.Gauges, "jobs_running"); canceled != 1 || done != 1 || running != 0 {
+		t.Fatalf("gauges off after mid-run cancel: canceled %d, done %d, running %d", canceled, done, running)
 	}
 }
 
@@ -452,11 +569,7 @@ func TestJobTimeoutFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Wait(ctx, j.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateFailed || !strings.Contains(st.Error, "deadline") {
+	if st := waitTerminal(t, c, j.ID); st.State != StateFailed || !strings.Contains(st.Error, "deadline") {
 		t.Fatalf("timed-out job = %s (%q), want failed with a deadline error", st.State, st.Error)
 	}
 }
@@ -545,8 +658,9 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Jobs.Queued != 0 || m.Jobs.Running != 0 || m.Jobs.Done != int64(len(ids)) {
-		t.Fatalf("post-drain gauges off: %+v", m.Jobs)
+	queued, running := must(t, m.Gauges, "jobs_queued"), must(t, m.Gauges, "jobs_running")
+	if done := must(t, m.Counters, "jobs_done_total"); queued != 0 || running != 0 || done != uint64(len(ids)) {
+		t.Fatalf("post-drain gauges off: queued %d, running %d, done %d", queued, running, done)
 	}
 }
 
@@ -577,13 +691,12 @@ func TestConcurrentMixedSubmissions(t *testing.T) {
 		errs []error
 	)
 	stop := make(chan struct{})
-	consistent := make(chan error, 1)
+	var scrapes []telemetry.RegistrySnapshot
+	scraped := make(chan error, 1)
 	go func() {
-		// Scrape /metrics and /healthz while the burst is in flight. The
-		// gauges move in separate atomic steps, so a scrape may catch up
-		// to Workers jobs mid-transition; beyond that the books must
-		// balance.
-		defer close(consistent)
+		// Scrape /metrics and /healthz while the burst is in flight; the
+		// books of every scrape are checked once the burst is over.
+		defer close(scraped)
 		for {
 			select {
 			case <-stop:
@@ -592,25 +705,20 @@ func TestConcurrentMixedSubmissions(t *testing.T) {
 			}
 			resp, err := http.Get(c.BaseURL + "/healthz")
 			if err != nil {
-				consistent <- err
+				scraped <- err
 				return
 			}
 			resp.Body.Close()
 			if resp.StatusCode != 200 {
-				consistent <- fmt.Errorf("healthz = %d mid-burst", resp.StatusCode)
+				scraped <- fmt.Errorf("healthz = %d mid-burst", resp.StatusCode)
 				return
 			}
 			m, err := c.Metrics(ctx)
 			if err != nil {
-				consistent <- err
+				scraped <- err
 				return
 			}
-			sum := m.Jobs.Queued + m.Jobs.Running + m.Jobs.Done + m.Jobs.Failed + m.Jobs.Canceled
-			if d := m.Jobs.Submitted - sum; d < 0 || d > int64(m.Queue.Workers) {
-				consistent <- fmt.Errorf("metrics inconsistent: submitted %d vs accounted %d (%+v)",
-					m.Jobs.Submitted, sum, m.Jobs)
-				return
-			}
+			scrapes = append(scrapes, m)
 		}
 	}()
 
@@ -639,54 +747,68 @@ func TestConcurrentMixedSubmissions(t *testing.T) {
 		}
 	}
 	close(stop)
-	if err := <-consistent; err != nil {
+	if err := <-scraped; err != nil {
 		t.Fatal(err)
+	}
+	// The gauges move in separate atomic steps, so a scrape may catch
+	// up to Workers jobs mid-transition; beyond that the books must
+	// balance.
+	for _, m := range scrapes {
+		submitted := int64(must(t, m.Counters, "jobs_submitted_total"))
+		accounted := must(t, m.Gauges, "jobs_queued") + must(t, m.Gauges, "jobs_running") +
+			int64(must(t, m.Counters, "jobs_done_total")+must(t, m.Counters, "jobs_failed_total")+
+				must(t, m.Counters, "jobs_canceled_total"))
+		if d := submitted - accounted; d < 0 || d > must(t, m.Gauges, "jobs_workers") {
+			t.Fatalf("metrics inconsistent: submitted %d vs accounted %d", submitted, accounted)
+		}
 	}
 
 	m, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Jobs.Done != jobs || m.Jobs.Failed != 0 || m.Jobs.Canceled != 0 {
-		t.Fatalf("outcome counters off: %+v", m.Jobs)
+	done, failed := must(t, m.Counters, "jobs_done_total"), must(t, m.Counters, "jobs_failed_total")
+	if canceled := must(t, m.Counters, "jobs_canceled_total"); done != jobs || failed != 0 || canceled != 0 {
+		t.Fatalf("outcome counters off: done %d, failed %d, canceled %d", done, failed, canceled)
 	}
-	if m.Jobs.Queued != 0 || m.Jobs.Running != 0 {
-		t.Fatalf("gauges not quiescent: %+v", m.Jobs)
+	if queued, running := must(t, m.Gauges, "jobs_queued"), must(t, m.Gauges, "jobs_running"); queued != 0 || running != 0 {
+		t.Fatalf("gauges not quiescent: queued %d, running %d", queued, running)
 	}
-	if m.StoreHits == 0 {
+	if storeHits(t, m) == 0 {
 		t.Fatal("no store hits across 10x-duplicated specs")
 	}
-	if m.Store.Saves != uint64(len(specs)) {
-		t.Fatalf("store saves = %d, want %d (one per distinct spec)", m.Store.Saves, len(specs))
+	if saves := must(t, m.Counters, "store_saves_total"); saves != uint64(len(specs)) {
+		t.Fatalf("store saves = %d, want %d (one per distinct spec)", saves, len(specs))
 	}
 
-	// The instrument registry must mirror the store stats exactly, and
-	// the hit/miss/dedup books must balance: each distinct spec misses
-	// once, every other submission is served as a hit of some flavor.
-	ic := m.Instruments.Counters
+	// The instrument registry must mirror the store stats exactly (the
+	// burst is over, so they no longer move), and the hit/miss/dedup
+	// books must balance: each distinct spec misses once, every other
+	// submission is served as a hit of some flavor.
+	st := s.Store().Stats()
 	for name, want := range map[string]uint64{
-		"store_mem_hits_total":    m.Store.MemHits,
-		"store_disk_hits_total":   m.Store.DiskHits,
-		"store_misses_total":      m.Store.Misses,
-		"store_dedup_waits_total": m.Store.DedupWaits,
-		"store_saves_total":       m.Store.Saves,
+		"store_mem_hits_total":    st.MemHits,
+		"store_disk_hits_total":   st.DiskHits,
+		"store_misses_total":      st.Misses,
+		"store_dedup_waits_total": st.DedupWaits,
+		"store_saves_total":       st.Saves,
 	} {
-		if ic[name] != want {
-			t.Errorf("instrument %s = %d, want %d (mirror of store stats)", name, ic[name], want)
+		if got := must(t, m.Counters, name); got != want {
+			t.Errorf("instrument %s = %d, want %d (mirror of store stats)", name, got, want)
 		}
 	}
-	if m.Store.Misses != uint64(len(specs)) {
-		t.Errorf("store misses = %d, want %d (one compute per distinct spec)", m.Store.Misses, len(specs))
+	if misses := must(t, m.Counters, "store_misses_total"); misses != uint64(len(specs)) {
+		t.Errorf("store misses = %d, want %d (one compute per distinct spec)", misses, len(specs))
 	}
-	if hits := m.Store.MemHits + m.Store.DiskHits + m.Store.DedupWaits; hits != jobs-uint64(len(specs)) {
+	if hits := storeHits(t, m); hits != jobs-uint64(len(specs)) {
 		t.Errorf("store hits = %d, want %d (every duplicate submission served from cache)",
 			hits, jobs-len(specs))
 	}
 	// Process-wide pipeline families accumulate across tests, so assert
 	// presence and progress, not exact values.
 	for _, name := range []string{"pipeline_build_config_total", "pipeline_samples_total", "store_get_or_compute_total"} {
-		if ic[name] == 0 {
-			t.Errorf("instrument %s missing or zero after a 100-job burst", name)
+		if must(t, m.Counters, name) == 0 {
+			t.Errorf("instrument %s zero after a 100-job burst", name)
 		}
 	}
 

@@ -20,6 +20,7 @@ import (
 	"repro/internal/profio"
 	"repro/internal/progress"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 // openStream issues a raw GET against the SSE endpoint.
@@ -581,24 +582,24 @@ func TestStreamMetricsExposed(t *testing.T) {
 	// after the terminal event is flushed, so Follow can return before
 	// the gauge drops: poll for it rather than reading it once.
 	deadline := time.Now().Add(30 * time.Second)
-	var ms MetricsSnapshot
+	var ms telemetry.RegistrySnapshot
 	for {
 		var err error
 		if ms, err = c.Metrics(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if ms.Streaming.Subscribers == 0 {
+		subs := must(t, ms.Gauges, "stream_subscribers")
+		if subs == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("subscriber gauge should be back to 0, got %d", ms.Streaming.Subscribers)
+			t.Fatalf("subscriber gauge should be back to 0, got %d", subs)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if ms.Streaming.Events == 0 || ms.Streaming.Snapshots == 0 {
-		t.Fatalf("streaming metrics empty: %+v", ms.Streaming)
+	events, snapshots := must(t, ms.Counters, "stream_events_total"), must(t, ms.Counters, "stream_snapshots_total")
+	if events == 0 || snapshots == 0 {
+		t.Fatalf("streaming metrics empty: events %d, snapshots %d", events, snapshots)
 	}
-	if _, ok := ms.LatencyUs["stream_snapshot"]; !ok {
-		t.Fatal("stream_snapshot latency histogram missing")
-	}
+	must(t, ms.Histograms, "stream_snapshot_latency")
 }
