@@ -337,7 +337,8 @@ func benchMachine() *topology.Machine {
 	})
 }
 
-// BenchmarkCacheAccess measures the hierarchy's per-access cost.
+// BenchmarkCacheAccess measures the hierarchy's per-access cost. It is
+// one of CI's bench-gate rows.
 func BenchmarkCacheAccess(b *testing.B) {
 	h := cache.NewHierarchy(benchMachine(), cache.DefaultConfig())
 	b.ResetTimer()
@@ -374,11 +375,9 @@ func BenchmarkEngineAccess(b *testing.B) {
 
 // BenchmarkProfiledAccess measures the same pipeline with the full
 // profiler and IBS monitoring attached — the simulator-side analog of
-// Table 2's monitoring overhead.
+// Table 2's monitoring overhead. It is one of CI's bench-gate rows.
 func BenchmarkProfiledAccess(b *testing.B) {
 	app := &benchApp{n: b.N}
-	prog := app.Binary()
-	_ = prog
 	cfg := core.Config{Machine: benchMachine(), Mechanism: "IBS", Period: 1024}
 	b.ResetTimer()
 	if _, err := core.Analyze(cfg, app); err != nil {
@@ -474,7 +473,8 @@ func BenchmarkProfioLoad(b *testing.B) {
 }
 
 // BenchmarkProfioSave encodes the 24 baseline-spec profiles; one op is
-// all 24 saves, and MB/s counts file bytes.
+// all 24 saves, and MB/s counts file bytes. It is one of CI's
+// bench-gate rows.
 func BenchmarkProfioSave(b *testing.B) {
 	profs, files := paperSpecProfiles()
 	var n int64
@@ -521,22 +521,32 @@ func (a *benchApp) Run(e *proc.Engine) {
 	e.EndRegion()
 }
 
-// BenchmarkCCTMerge measures the hpcprof-style profile merge.
-func BenchmarkCCTMerge(b *testing.B) {
-	src := cct.New()
-	for f := 0; f < 32; f++ {
-		for s := 0; s < 16; s++ {
-			n := src.Root().InsertPath([]cct.Key{
-				cct.FrameKey(isa.FuncID(f), 0),
-				cct.SiteKey(isa.SiteID(s)),
-			})
-			n.AddMetric(metrics.Samples, 1)
-			n.ExtendRange(f%8, uint64(s)*64)
+// BenchmarkCCTMergeShards measures the hpcprof merge in the shape
+// core.finish runs it: 8 per-thread shards folded by cct.MergeShards
+// at core's merge width of 4 workers. The shards overlap on every path
+// (hot frames appear in every shard), so each node takes the columnar
+// metric add and the [min,max] range reduction; each leaf keeps one
+// range owner, the common shape (a site node is usually touched by one
+// thread). It is one of CI's bench-gate rows.
+func BenchmarkCCTMergeShards(b *testing.B) {
+	shards := make([]*cct.Tree, 8)
+	for w := range shards {
+		src := cct.New()
+		for f := 0; f < 32; f++ {
+			for s := 0; s < 16; s++ {
+				n := src.Root().InsertPath([]cct.Key{
+					cct.FrameKey(isa.FuncID(f), 0),
+					cct.SiteKey(isa.SiteID(s)),
+				})
+				n.AddMetric(metrics.Samples, 1)
+				n.ExtendRange(f%8, uint64(s+w)*64)
+			}
 		}
+		shards[w] = src
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst := cct.New()
-		cct.MergeTrees(dst, src)
+		cct.MergeShards(cct.New(), shards, 4)
 	}
 }

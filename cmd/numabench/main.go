@@ -17,7 +17,7 @@
 // to the serial run, only faster:
 //
 //	numabench -parallel 8
-//	numabench -parallel 1   # today's serial path
+//	numabench -parallel 1   # the serial path
 //
 // Ids: T1 T2 (tables), F1 F2 F3 F45 F89 F10 (figures), S1-S4 (the
 // Section 8 speedups: LULESH, AMG2006, Blackscholes, UMT2013),
@@ -32,7 +32,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -199,43 +198,18 @@ func artifacts() []artifact {
 	}
 }
 
-// checkBenchFlags refuses, in bench mode (-bench-json, -bench-gate),
-// the flags that only the artifact sweep reads; set names the flags
-// given on the command line.
-func checkBenchFlags(bench bool, set map[string]bool) error {
-	if !bench {
-		return nil
-	}
-	for _, name := range []string{"run", "out", "iters"} {
-		if set[name] {
-			return fmt.Errorf("-bench-json/-bench-gate run no artifacts and do not take -%s", name)
-		}
-	}
-	return nil
-}
-
 func main() {
 	var (
 		runList  = flag.String("run", "", "comma-separated artifact ids (empty: all)")
 		iters    = flag.Int("iters", 0, "workload iterations for the heavy runs (0: defaults)")
 		mdOut    = flag.String("out", "", "also write the results as a markdown report to this path")
 		parallel = flag.Int("parallel", sched.Workers(),
-			"worker goroutines for experiment cells and artifacts (1: today's serial path; results are identical either way)")
+			"worker goroutines for experiment cells and artifacts (1: the serial path; results are identical either way)")
 		telemetryDir = flag.String("telemetry", "",
 			"self-profile the run: write "+telemetry.TraceFile+" (chrome://tracing), "+
 				telemetry.SpanFile+" and "+telemetry.MetricsFile+" to this directory and print a per-phase summary")
-		benchJSON = flag.String("bench-json", "",
-			"run the hot-path micro-suite and write the schema-stable report (BENCH_*.json) to this path")
-		benchGate = flag.String("bench-gate", "",
-			"run the micro-suite and compare benchstat-style against this committed baseline report, exiting non-zero on regression")
 	)
 	flag.Parse()
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkBenchFlags(*benchJSON != "" || *benchGate != "", set); err != nil {
-		fmt.Fprintln(os.Stderr, "numabench:", err)
-		os.Exit(1)
-	}
 	sched.SetWorkers(*parallel)
 
 	want := map[string]bool{}
@@ -271,52 +245,6 @@ func main() {
 			}
 			os.Exit(code)
 		}
-	}
-
-	// Bench mode replaces the artifact sweep entirely: -bench-json writes
-	// a fresh micro-suite report, -bench-gate compares a fresh run
-	// against a committed baseline. Both may be combined; the same fresh
-	// run feeds both outputs.
-	if *benchJSON != "" || *benchGate != "" {
-		rep := experiments.RunBench(experiments.BenchOptions{})
-		if *benchJSON != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "numabench:", err)
-				exit(1)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*benchJSON, data, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "numabench:", err)
-				exit(1)
-			}
-			fmt.Printf("bench report written to %s\n", *benchJSON)
-		}
-		if *benchGate != "" {
-			data, err := os.ReadFile(*benchGate)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "numabench:", err)
-				exit(1)
-			}
-			var baseline experiments.BenchReport
-			if err := json.Unmarshal(data, &baseline); err != nil {
-				fmt.Fprintf(os.Stderr, "numabench: baseline %s: %v\n", *benchGate, err)
-				exit(1)
-			}
-			deltas, err := experiments.CompareBench(&baseline, rep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "numabench:", err)
-				exit(1)
-			}
-			fmt.Print(experiments.RenderBenchDeltas(deltas))
-			if err := experiments.GateBench(deltas, experiments.BenchGateThreshold); err != nil {
-				fmt.Fprintln(os.Stderr, "numabench:", err)
-				exit(1)
-			}
-			fmt.Printf("bench gate: ok (all %d benchmarks within %.0f%% of baseline)\n",
-				len(deltas), 100*experiments.BenchGateThreshold)
-		}
-		exit(0)
 	}
 
 	var md strings.Builder

@@ -649,16 +649,6 @@ func Merge(dst, src *Node) {
 // MergeTrees merges src into dst at the roots.
 func MergeTrees(dst, src *Tree) { Merge(dst.root, src.root) }
 
-// MergeForest folds a set of per-thread trees into dst, salvaging what
-// it can: nil entries (per-thread profiles lost or unreadable before
-// the hpcprof merge) are skipped rather than aborting the whole merge.
-// It returns how many trees merged and the indices of those skipped, so
-// the caller can report thread coverage instead of pretending the
-// merge was complete.
-func MergeForest(dst *Tree, trees []*Tree) (merged int, skipped []int) {
-	return MergeShards(dst, trees, 1)
-}
-
 // mergeShardsMin is the shard count below which MergeShards stays
 // serial regardless of the requested worker count: spawning goroutines
 // for a handful of small per-thread trees costs more than it saves.
@@ -675,8 +665,13 @@ const mergeShardsMin = 8
 // produces: every metric delta is integral and totals stay far below
 // 2^53, so float addition is exact and the grouped fold is associative
 // and commutative bit-for-bit (the determinism harness and the
-// property tests in this package enforce it). Like MergeForest, nil
-// shards are skipped and reported rather than aborting the merge.
+// property tests in this package enforce it).
+//
+// The merge salvages what it can: nil shards (per-thread profiles lost
+// or unreadable before the hpcprof merge) are skipped rather than
+// aborting it. MergeShards returns how many shards merged and the
+// indices of those skipped, so the caller can report thread coverage
+// instead of pretending the merge was complete.
 func MergeShards(dst *Tree, shards []*Tree, workers int) (merged int, skipped []int) {
 	live := shards
 	for _, tr := range shards {

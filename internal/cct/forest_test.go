@@ -7,9 +7,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// MergeForest is the salvage path of the analyzer merge: some
-// per-thread trees may be missing (nil) and the merged tree must sum
-// over the survivors only, reporting exactly which slots were skipped.
+// These two tests keep the names they had when the serial salvage merge
+// was the MergeForest wrapper; they now call what it ran, MergeShards
+// at one worker. Some per-thread trees may be missing (nil) and the
+// merged tree must sum over the survivors only, reporting exactly which
+// slots were skipped.
 func TestMergeForestSkipsNilTrees(t *testing.T) {
 	mk := func(v float64) *Tree {
 		tr := New()
@@ -17,7 +19,7 @@ func TestMergeForestSkipsNilTrees(t *testing.T) {
 		return tr
 	}
 	dst := New()
-	merged, skipped := MergeForest(dst, []*Tree{mk(1), nil, mk(2), nil, mk(4)})
+	merged, skipped := MergeShards(dst, []*Tree{mk(1), nil, mk(2), nil, mk(4)}, 1)
 	if merged != 3 {
 		t.Errorf("merged = %d, want 3", merged)
 	}
@@ -35,14 +37,14 @@ func TestMergeForestSkipsNilTrees(t *testing.T) {
 
 func TestMergeForestAllNil(t *testing.T) {
 	dst := New()
-	merged, skipped := MergeForest(dst, []*Tree{nil, nil})
+	merged, skipped := MergeShards(dst, []*Tree{nil, nil}, 1)
 	if merged != 0 || !reflect.DeepEqual(skipped, []int{0, 1}) {
 		t.Errorf("merged %d skipped %v", merged, skipped)
 	}
 	if len(dst.Root().Children()) != 0 {
 		t.Error("nothing should have merged")
 	}
-	if m, s := MergeForest(dst, nil); m != 0 || s != nil {
+	if m, s := MergeShards(dst, nil, 1); m != 0 || s != nil {
 		t.Errorf("empty forest: merged %d skipped %v", m, s)
 	}
 }

@@ -262,29 +262,46 @@ func (r *refNode) inclusive(id metrics.ID) float64 {
 
 // TestMergeShardsSkipsNilShards pins the salvage contract: nil entries
 // (per-thread profiles lost before the merge) are skipped and reported
-// by index, and the survivors still merge to the oracle result.
+// by index, and the survivors still merge to the oracle result. A
+// forest of nil shards merges nothing, and an empty one reports no
+// skipped index at all.
 func TestMergeShardsSkipsNilShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	shards := make([]*Tree, 10)
-	want := newRefNode()
-	for i := range shards {
-		if i%3 == 1 {
-			continue // leave a hole
+	holes := make([]*Tree, 10)
+	for i := range holes {
+		if i%3 != 1 { // leave a hole at 1, 4 and 7
+			holes[i] = randTree(rng, 30)
 		}
-		shards[i] = randTree(rng, 30)
-		refMerge(want, refFromTree(shards[i]))
 	}
-	for _, workers := range []int{1, 4} {
-		dst := New()
-		merged, skipped := MergeShards(dst, shards, workers)
-		if merged != 7 {
-			t.Errorf("workers %d: merged = %d, want 7", workers, merged)
+	cases := []struct {
+		name    string
+		shards  []*Tree
+		merged  int
+		skipped []int
+	}{
+		{"holes", holes, 7, []int{1, 4, 7}},
+		{"all nil", []*Tree{nil, nil}, 0, []int{0, 1}},
+		{"nil slice", nil, 0, nil},
+	}
+	for _, c := range cases {
+		want := newRefNode()
+		for _, s := range c.shards {
+			if s != nil {
+				refMerge(want, refFromTree(s))
+			}
 		}
-		if want := []int{1, 4, 7}; !equalInts(skipped, want) {
-			t.Errorf("workers %d: skipped = %v, want %v", workers, skipped, want)
-		}
-		if got, wantStr := treeString(dst), refString(want); got != wantStr {
-			t.Errorf("workers %d: salvaged merge disagrees with oracle", workers)
+		for _, workers := range []int{1, 4} {
+			dst := New()
+			merged, skipped := MergeShards(dst, c.shards, workers)
+			if merged != c.merged {
+				t.Errorf("%s, workers %d: merged = %d, want %d", c.name, workers, merged, c.merged)
+			}
+			if !equalInts(skipped, c.skipped) || (skipped == nil) != (c.skipped == nil) {
+				t.Errorf("%s, workers %d: skipped = %#v, want %#v", c.name, workers, skipped, c.skipped)
+			}
+			if got, wantStr := treeString(dst), refString(want); got != wantStr {
+				t.Errorf("%s, workers %d: salvaged merge disagrees with oracle", c.name, workers)
+			}
 		}
 	}
 }

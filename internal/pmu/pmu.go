@@ -177,7 +177,6 @@ type Monitor struct {
 
 	// Counters the profiler reads back.
 	samplesTaken     uint64
-	samplesLost      uint64 // suppressed by a SampleTransformer
 	sampledInstr     uint64 // I^s: all sampled instructions (incl. non-memory)
 	sampledMemAccess uint64
 	sampledRemote    uint64
@@ -217,10 +216,6 @@ func (m *Monitor) SetMechanism(mech Mechanism) {
 	m.tr, _ = mech.(SampleTransformer)
 }
 
-// SamplesLost returns the number of captured samples a
-// SampleTransformer suppressed before delivery.
-func (m *Monitor) SamplesLost() uint64 { return m.samplesLost }
-
 // SamplesTaken returns the total number of samples delivered.
 func (m *Monitor) SamplesTaken() uint64 { return m.samplesTaken }
 
@@ -243,9 +238,6 @@ func (m *Monitor) OverheadCharged() units.Cycles { return m.overheadCharged }
 // estimates stabilize — the whole point of stopping is that the
 // remaining execution proceeds unmonitored and untaxed.
 func (m *Monitor) StopSampling() { m.stopped = true }
-
-// SamplingStopped reports whether StopSampling was called.
-func (m *Monitor) SamplingStopped() bool { return m.stopped }
 
 // OnAccess implements proc.Hook.
 func (m *Monitor) OnAccess(ev *proc.AccessEvent) {
@@ -312,7 +304,6 @@ func (m *Monitor) deliverSample(ev *proc.AccessEvent) {
 	if m.tr != nil && !m.tr.TransformSample(s) {
 		// Captured but lost before delivery: the cost was paid, but
 		// the sample must not count toward I^s or reach the profiler.
-		m.samplesLost++
 		return
 	}
 
@@ -358,7 +349,6 @@ func (m *Monitor) OnCompute(t *proc.Thread, n uint64) {
 			PreciseIP: m.caps.PreciseIP,
 		}
 		if m.tr != nil && !m.tr.TransformSample(s) {
-			m.samplesLost++
 			continue
 		}
 		m.samplesTaken++

@@ -129,10 +129,6 @@ func (t *Thread) MemAccesses() uint64 { return t.memAccesses }
 // Overhead returns the monitoring overhead charged to this thread.
 func (t *Thread) Overhead() units.Cycles { return t.overhead }
 
-// RegionCycles returns the cycles the thread has accumulated in the
-// current region — its local progress clock.
-func (t *Thread) RegionCycles() units.Cycles { return t.regionCycles }
-
 // AddOverhead charges monitoring cost to the thread. PMU samplers and
 // the profiler call this so that, exactly as on real hardware, heavier
 // instrumentation shows up as longer monitored runtime (Table 2).
@@ -437,9 +433,6 @@ func (e *Engine) Memory() *mem.System { return e.memory }
 // Fabric returns the interconnect.
 func (e *Engine) Fabric() *interconnect.Fabric { return e.fabric }
 
-// Caches returns the cache hierarchy.
-func (e *Engine) Caches() *cache.Hierarchy { return e.caches }
-
 // Threads returns the team, index == thread id.
 func (e *Engine) Threads() []*Thread { return e.threads }
 
@@ -531,9 +524,6 @@ func (e *Engine) EndRegion() {
 		h.OnRegionEnd(name)
 	}
 }
-
-// RegionActive reports whether a region is open.
-func (e *Engine) RegionActive() bool { return e.regionActive }
 
 // Ctx returns an execution context for the given thread. Workload code
 // receives a Ctx and issues instructions through it.

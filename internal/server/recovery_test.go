@@ -318,7 +318,6 @@ func TestJournalRecoveryInProcess(t *testing.T) {
 	}
 	held := make(chan *Job, 1)
 	release := make(chan struct{})
-	defer close(release)
 	a, err := New(Options{
 		Store: stA, Workers: 1, QueueDepth: 8, Journal: jlA,
 		BeforeRun: func(j *Job) {
@@ -332,6 +331,15 @@ func TestJournalRecoveryInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Start()
+	// The abandoned A still owns a worker parked on job 2 and job 3 in
+	// its queue. Stop it, its jobs cancelled, before t.TempDir's cleanup
+	// removes the store directory that worker would write into.
+	defer func() {
+		close(release)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		a.Shutdown(ctx)
+	}()
 	// Job 1 completes and is journaled terminal.
 	j1, err := a.Submit(fastSpec("baseline"))
 	if err != nil {

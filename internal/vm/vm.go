@@ -440,13 +440,6 @@ func (as *AddressSpace) ProtectionOf(addr uint64) Protection {
 	return ProtRW
 }
 
-// Regions returns a copy of all allocations, live and freed.
-func (as *AddressSpace) Regions() []Region {
-	out := make([]Region, len(as.regions))
-	copy(out, as.regions)
-	return out
-}
-
 // SetPolicy replaces the placement policy of a region. It only
 // affects pages not yet touched — the same semantics as calling
 // numa_tonode_memory / mbind on a freshly mapped range before anything
