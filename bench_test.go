@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -33,6 +34,8 @@ import (
 	"repro/internal/profio"
 	"repro/internal/sched"
 	"repro/internal/server"
+	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -491,6 +494,81 @@ func BenchmarkProfioSave(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkServiceHit measures numad's cache-hit path in process: a
+// daemon behind a loopback HTTP server holds the 24 app x mechanism
+// baseline profiles, and one op submits one of them, follows its event
+// stream to done and fetches a view through server.Client, the profile
+// bytes and the text report in turn, as perfbench's service clients do.
+// Set-up computes every spec once. With -benchmem, B/op is what a
+// served hit allocates, client and daemon together.
+func BenchmarkServiceHit(b *testing.B) {
+	defer telemetry.SetLogOutput(io.Discard)()
+	st, err := store.Open(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(server.Options{Store: st, Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv.Start()
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			b.Error(err)
+		}
+		ts.Close()
+	}()
+	var specs []server.Spec
+	for _, mech := range pmu.Names() {
+		for _, wl := range []string{"lulesh", "amg2006", "blackscholes", "umt2013"} {
+			specs = append(specs, server.Spec{Workload: wl, Mechanism: mech})
+		}
+	}
+	c := server.NewClient(ts.URL)
+	ctx := context.Background()
+	var served int64
+	op := func(i int) error {
+		js, err := c.Submit(ctx, specs[i%len(specs)])
+		if err != nil {
+			return err
+		}
+		if js, err = c.Follow(ctx, js.ID, nil); err != nil {
+			return err
+		}
+		if js.State != server.StateDone {
+			return fmt.Errorf("job %s: %s (%s)", js.ID, js.State, js.Error)
+		}
+		var body []byte
+		if i/len(specs)%2 == 0 {
+			body, err = c.ProfileBytes(ctx, js.ID)
+		} else {
+			var text string
+			text, err = c.Text(ctx, js.ID)
+			body = []byte(text)
+		}
+		served += int64(len(body))
+		return err
+	}
+	for i := range specs {
+		if err := op(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	served = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(served)/float64(b.N), "body-B/op")
 }
 
 type benchApp struct {

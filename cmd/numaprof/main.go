@@ -40,7 +40,6 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/pmu"
 	"repro/internal/profio"
 	"repro/internal/progress"
@@ -303,11 +302,10 @@ func run(ctx context.Context, w io.Writer, spec server.Spec, o options) error {
 	}
 	_, renderDone := telemetry.Timed(ctx, "pipeline.render_view",
 		telemetry.String("kind", "text"), telemetry.String("workload", spec.Workload))
-	fmt.Fprint(w, view.Report(prof, o.top))
 	if o.cct {
-		fmt.Fprintln(w)
-		fmt.Fprint(w, view.CCT(prof, metrics.Mismatch, 6, 0.01))
-		fmt.Fprint(w, view.RenderHotPath(prof, metrics.Mismatch))
+		fmt.Fprint(w, view.Text(prof, o.top))
+	} else {
+		fmt.Fprint(w, view.Report(prof, o.top))
 	}
 	if spec.Trace && prof.Timeline != nil {
 		fmt.Fprintln(w)

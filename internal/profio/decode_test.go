@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strconv"
@@ -198,6 +200,45 @@ func TestDecoderMatchesReference(t *testing.T) {
 			t.Errorf("%s: lenient reports differ:\n%+v\n%+v", s.name, lrep, lwantRep)
 		}
 		sameProfile(t, s.name+" (lenient)", lgot, lwant)
+	}
+}
+
+// LoadFile reads into a pooled buffer that the next load reuses, which
+// is safe only because no decoded profile keeps a reference into the
+// bytes it was decoded from. For every decoder shape, overwriting the
+// input after load must leave the profile's encoding as it was, and so
+// must loading the other shapes through LoadFile's buffer.
+func TestLoadedProfilesDoNotAliasInput(t *testing.T) {
+	shapes := decoderShapes(t)
+	dir := t.TempDir()
+	paths := make([]string, len(shapes))
+	want := make([][]byte, len(shapes))
+	for i, s := range shapes {
+		data := bytes.Clone(s.data)
+		p, err := load(data)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		want[i] = saveBytes(t, p)
+		for j := range data {
+			data[j] = 0xFF
+		}
+		diffBytes(t, s.name+" after overwriting its input", saveBytes(t, p), want[i])
+		paths[i] = filepath.Join(dir, fmt.Sprintf("%02d.numaprof", i))
+		if err := os.WriteFile(paths[i], s.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	profs := make([]*core.Profile, len(shapes))
+	for i, path := range paths {
+		p, err := LoadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", shapes[i].name, err)
+		}
+		profs[i] = p
+	}
+	for i, p := range profs {
+		diffBytes(t, shapes[i].name+" after the later LoadFiles", saveBytes(t, p), want[i])
 	}
 }
 

@@ -1,10 +1,12 @@
 package profio
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -24,12 +26,28 @@ func SaveFile(path string, p *core.Profile) error {
 // LoadFile strictly loads a measurement file from disk, read in one
 // buffer sized to the file.
 func LoadFile(path string) (*core.Profile, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return load(data)
+	defer f.Close()
+	buf := fileBufs.Get().(*bytes.Buffer)
+	defer fileBufs.Put(buf)
+	buf.Reset()
+	if fi, err := f.Stat(); err == nil {
+		// MinRead past the size leaves room for the read that sees EOF.
+		buf.Grow(int(fi.Size()) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, err
+	}
+	return load(buf.Bytes())
 }
+
+// fileBufs holds LoadFile's read buffers. The decoder copies every byte
+// a profile keeps (interned strings, encoding/json values), so a buffer
+// is free for the next load as soon as load returns.
+var fileBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // atomicWrite runs write against a temp file in path's directory and
 // renames it into place only when write and sync both succeed. On any

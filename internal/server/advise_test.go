@@ -132,6 +132,12 @@ func TestAdviseEndpointTable(t *testing.T) {
 	if !strings.Contains(text, "NUMA optimizer") || !strings.Contains(text, "best measured:") {
 		t.Fatalf("advise text view is not the optimizer report:\n%s", text)
 	}
+	for _, view := range []string{"text", "advice"} {
+		resp, body := get(t, c.BaseURL+"/api/v1/jobs/"+adv.ID+"?view="+view)
+		if resp.ContentLength != int64(len(body)) {
+			t.Errorf("?view=%s: Content-Length %d for a %d-byte body", view, resp.ContentLength, len(body))
+		}
+	}
 
 	// A second advise of the same target dedupes end to end: the
 	// baseline and every candidate replay from the store.

@@ -132,7 +132,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 			}
 			return nil, err
 		}
-		data, err := io.ReadAll(resp.Body)
+		data, err := readBody(resp)
 		resp.Body.Close()
 		if err != nil {
 			return nil, err
@@ -147,6 +147,29 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 		}
 		return nil, apiError(resp, data)
 	}
+}
+
+// maxPresizedBody bounds the buffer readBody allocates up front from a
+// response's declared Content-Length.
+const maxPresizedBody = 64 << 20
+
+// readBody reads a response body. A declared length up to
+// maxPresizedBody is read into one buffer of exactly that size, and a
+// body that ends short of it is io.ErrUnexpectedEOF; an unknown or
+// larger length is read as it arrives.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxPresizedBody {
+		return io.ReadAll(resp.Body)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return data, nil
 }
 
 // sleepCtx waits d unless ctx ends first; it reports whether the full
@@ -300,7 +323,7 @@ func (c *Client) Follow(ctx context.Context, id string, fn func(StreamEvent)) (J
 // at all (retry-budget reset).
 func (c *Client) consumeEvents(body io.Reader, lastID *uint64, fn func(StreamEvent)) (st *JobStatus, terminal, progressed bool) {
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		// The payload duplicates the id and event-type framing lines,

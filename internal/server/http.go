@@ -5,15 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/advisor"
-	"repro/internal/core"
 	"repro/internal/diff"
-	coremetrics "repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/view"
@@ -153,6 +151,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 		w.Write(blob)
 	case "text", "html", "profile":
 		st := job.Status()
@@ -190,23 +189,34 @@ func (s *Server) serveAdviceText(ctx context.Context, w http.ResponseWriter, job
 		writeError(w, http.StatusInternalServerError, "advice: %v", err)
 		return
 	}
+	body := rep.Render()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, rep.Render())
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	io.WriteString(w, body)
 }
 
 // serveProfileView renders a stored profile as text, HTML, or raw
-// measurement bytes.
+// measurement bytes. Every body goes out with its Content-Length, so a
+// client can read it into one buffer of that size.
 func (s *Server) serveProfileView(ctx context.Context, w http.ResponseWriter, k store.Key, kind string) {
 	_, done := telemetry.Timed(ctx, "pipeline.render_view", telemetry.String("kind", kind))
 	defer done()
 	if kind == "profile" {
-		b, err := s.st.Bytes(k)
+		f, size, err := s.st.File(k)
 		if err != nil {
 			writeError(w, http.StatusNotFound, "profile %s: %v", k, err)
 			return
 		}
+		defer f.Close()
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(b)
+		w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+		// The LimitReader hides *os.File's WriteTo, whose generic
+		// fallback copies through a fresh 32 KiB buffer; io.Copy then
+		// hands the reader to the response's ReadFrom, which passes a
+		// limited file on to the connection's sendfile. A copy that
+		// fails leaves the body short of its Content-Length, which the
+		// client reports as an error.
+		io.Copy(w, io.LimitReader(f, size))
 		return
 	}
 	p, err := s.st.Get(k)
@@ -214,30 +224,20 @@ func (s *Server) serveProfileView(ctx context.Context, w http.ResponseWriter, k 
 		writeError(w, http.StatusNotFound, "profile %s: %v", k, err)
 		return
 	}
+	var body string
 	switch kind {
 	case "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, renderText(p, s.topVars))
+		body = view.Text(p, s.topVars)
 	case "html":
-		page, err := view.HTML(p, s.topVars)
-		if err != nil {
+		if body, err = view.HTML(p, s.topVars); err != nil {
 			writeError(w, http.StatusInternalServerError, "render: %v", err)
 			return
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprint(w, page)
 	}
-}
-
-// renderText is the daemon's text view: the same report + CCT + hot
-// path a local `numaprof` run prints.
-func renderText(p *core.Profile, top int) string {
-	var b strings.Builder
-	b.WriteString(view.Report(p, top))
-	b.WriteString("\n")
-	b.WriteString(view.CCT(p, coremetrics.Mismatch, 6, 0.01))
-	b.WriteString(view.RenderHotPath(p, coremetrics.Mismatch))
-	return b.String()
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	io.WriteString(w, body)
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {

@@ -5,7 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -135,13 +135,7 @@ func (s Spec) Normalize() (Spec, error) {
 	if n.Machine == "" {
 		n.Machine = defaultMachineFor(n.Mechanism)
 	}
-	presets := topology.Presets()
-	if _, ok := presets[n.Machine]; !ok {
-		names := make([]string, 0, len(presets))
-		for name := range presets {
-			names = append(names, name)
-		}
-		sort.Strings(names)
+	if names := topology.PresetNames(); !slices.Contains(names, n.Machine) {
 		return n, fmt.Errorf("unknown machine %q; presets: %s", n.Machine, strings.Join(names, ", "))
 	}
 	if n.Binding == "" {
@@ -227,7 +221,7 @@ func (s Spec) normalizeSweep() (Spec, error) {
 	if n.Machine == "" {
 		n.Machine = defaultMachineFor(n.Mechanism)
 	}
-	if _, ok := topology.Presets()[n.Machine]; !ok {
+	if !slices.Contains(topology.PresetNames(), n.Machine) {
 		return n, fmt.Errorf("unknown machine %q", n.Machine)
 	}
 	if n.Binding == "" {
@@ -341,7 +335,7 @@ func (s Spec) Build() (core.Config, core.App, error) {
 	if n.IsSweep() {
 		return core.Config{}, nil, fmt.Errorf("sweep spec (%s × %s) has no single config; expand with Cells", n.Workload, n.Strategy)
 	}
-	m := topology.Presets()[n.Machine]
+	m, _ := topology.Preset(n.Machine)
 
 	bind := proc.Compact
 	if n.Binding == "scatter" {

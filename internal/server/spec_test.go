@@ -84,6 +84,25 @@ func TestNormalizeRejects(t *testing.T) {
 	}
 }
 
+// The unknown-machine errors name the presets from topology's table
+// without building a machine; their text is pinned byte for byte.
+func TestNormalizeUnknownMachineText(t *testing.T) {
+	cases := []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Workload: "lulesh", Machine: "pdp-11"},
+			`unknown machine "pdp-11"; presets: amd-magny-cours-48, ibm-power7-128, intel-harpertown-8, intel-itanium2-8, intel-ivybridge-8`},
+		{Spec{Workload: "lulesh,amg2006", Machine: "pdp-11"}, `unknown machine "pdp-11"`},
+	}
+	for _, c := range cases {
+		_, err := c.spec.Normalize()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.spec.Workload, err, c.want)
+		}
+	}
+}
+
 func TestKeyCanonicalOverDefaults(t *testing.T) {
 	// Spelling a default explicitly must hash to the same key.
 	implicit := Spec{Workload: "blackscholes"}

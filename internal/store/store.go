@@ -198,6 +198,29 @@ func (s *Store) Bytes(k Key) ([]byte, error) {
 	return b, err
 }
 
+// File opens the measurement file for a key and returns it with its
+// size, for callers that stream the bytes instead of holding them; the
+// caller closes it. A concurrent Put replaces the file by rename, so the
+// open descriptor still reads one whole file: the one File opened.
+func (s *Store) File(k Key) (*os.File, int64, error) {
+	if !k.Valid() {
+		return nil, 0, ErrNotFound
+	}
+	f, err := os.Open(s.Path(k))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, 0, ErrNotFound
+		}
+		return nil, 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, fi.Size(), nil
+}
+
 // Put persists a profile under a key (atomic temp+rename) and admits it
 // to the memory cache.
 func (s *Store) Put(k Key, p *core.Profile) error {

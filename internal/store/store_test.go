@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -93,6 +94,48 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(raw, profileBytes(t, p)) {
 		t.Fatal("Bytes differ from profio.Save output")
+	}
+}
+
+// File streams what Bytes reads, and an open file keeps its bytes when
+// a Put replaces the key underneath it: the rename swaps the directory
+// entry, not the open inode.
+func TestFileSurvivesConcurrentPut(t *testing.T) {
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey("file")
+	if _, _, err := s.File(k); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("File before Put: err = %v, want ErrNotFound", err)
+	}
+	if err := s.Put(k, testProfile(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Bytes(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, size, err := s.File(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if size != int64(len(want)) {
+		t.Fatalf("File size = %d, want %d", size, len(want))
+	}
+	if err := s.Put(k, testProfile(t, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if now, err := s.Bytes(k); err != nil || bytes.Equal(now, want) {
+		t.Fatalf("second Put did not replace the file (err %v)", err)
+	}
+	got, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("open file read %d bytes that differ from the %d it was opened with", len(got), len(want))
 	}
 }
 
@@ -451,5 +494,8 @@ func TestInvalidKeyRejected(t *testing.T) {
 	}
 	if _, err := s.Bytes("zz"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Bytes on invalid key: %v, want ErrNotFound", err)
+	}
+	if _, _, err := s.File("../../escape"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("File on invalid key: %v, want ErrNotFound", err)
 	}
 }

@@ -1,6 +1,10 @@
 package topology
 
-import "repro/internal/units"
+import (
+	"sort"
+
+	"repro/internal/units"
+)
 
 // The five machines from Table 1 of the paper. The paper evaluated
 // HPCToolkit-NUMA on one machine per address-sampling mechanism; we
@@ -79,14 +83,39 @@ func IvyBridge8() *Machine {
 	})
 }
 
+// presets maps each Table-1 machine's name to its constructor.
+var presets = map[string]func() *Machine{
+	"amd-magny-cours-48": MagnyCours48,
+	"ibm-power7-128":     Power7x128,
+	"intel-harpertown-8": Harpertown8,
+	"intel-itanium2-8":   Itanium2x8,
+	"intel-ivybridge-8":  IvyBridge8,
+}
+
+// Preset builds the Table-1 machine with the given name.
+func Preset(name string) (*Machine, bool) {
+	build, ok := presets[name]
+	if !ok {
+		return nil, false
+	}
+	return build(), true
+}
+
+// PresetNames returns the names of the Table-1 machines, sorted.
+func PresetNames() []string {
+	names := make([]string, 0, len(presets))
+	for name := range presets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // Presets returns all five Table-1 machines keyed by name.
 func Presets() map[string]*Machine {
-	ms := []*Machine{
-		MagnyCours48(), Power7x128(), Harpertown8(), Itanium2x8(), IvyBridge8(),
-	}
-	out := make(map[string]*Machine, len(ms))
-	for _, m := range ms {
-		out[m.Name] = m
+	out := make(map[string]*Machine, len(presets))
+	for name, build := range presets {
+		out[name] = build()
 	}
 	return out
 }

@@ -89,6 +89,28 @@ func TestDistanceProperties(t *testing.T) {
 	}
 }
 
+// Preset, PresetNames and Presets read one name-to-constructor table:
+// each name builds the machine that carries it.
+func TestPresetTable(t *testing.T) {
+	names := PresetNames()
+	all := Presets()
+	if len(names) != 5 || len(all) != len(names) {
+		t.Fatalf("%d names, %d presets; want 5 of each", len(names), len(all))
+	}
+	for _, name := range names {
+		m, ok := Preset(name)
+		if !ok || m.Name != name {
+			t.Errorf("Preset(%q) = %v, %v", name, m, ok)
+		}
+		if all[name] == nil || all[name].Name != name {
+			t.Errorf("Presets()[%q] missing or misnamed", name)
+		}
+	}
+	if m, ok := Preset("pdp-11"); ok || m != nil {
+		t.Errorf("Preset of an unknown name = %v, %v", m, ok)
+	}
+}
+
 func TestPresetsMatchPaperScale(t *testing.T) {
 	cases := []struct {
 		m       *Machine
