@@ -75,10 +75,6 @@ type Config struct {
 	Bins int
 	// TrackFirstTouch enables page-protection first-touch pinpointing.
 	TrackFirstTouch bool
-	// CorrectOffByOne applies the online previous-instruction fix for
-	// imprecise-IP mechanisms (PEBS). Profile always enables it for
-	// mechanisms that need it.
-	CorrectOffByOne bool
 
 	// CacheConfig overrides the default cache geometry (zero value:
 	// cache.DefaultConfig). Experiments shrink caches in proportion
@@ -362,7 +358,6 @@ func monitoredRun(ctx context.Context, cfg Config, app App) (*Profile, *proc.Eng
 	// compute events to the monitor itself, after its supervision pass.
 	p := newProfiler(cfg, e, prog)
 	mon := pmu.NewMonitor(mech, prog, p.onSample)
-	mon.CorrectOffByOne = cfg.CorrectOffByOne || !mech.Caps().PreciseIP
 	p.mon = mon
 	e.AddHook(p)
 	if fm, ok := mech.(*faults.Faulty); ok {

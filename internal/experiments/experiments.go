@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/pmu"
 	"repro/internal/proc"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -42,22 +43,16 @@ func timedExperiment(name string) func() {
 	return done
 }
 
-// MachineForMechanism returns the Table 1 testbed for a mechanism.
+// MachineForMechanism returns the Table 1 testbed for a mechanism, the
+// preset its pmu.Config names, and the Magny-Cours for a name pmu does
+// not know.
 func MachineForMechanism(mech string) *topology.Machine {
-	switch mech {
-	case "IBS", "Soft-IBS":
-		return topology.MagnyCours48()
-	case "MRK":
-		return topology.Power7x128()
-	case "PEBS":
-		return topology.Harpertown8()
-	case "DEAR":
-		return topology.Itanium2x8()
-	case "PEBS-LL":
-		return topology.IvyBridge8()
-	default:
-		return topology.MagnyCours48()
+	if m, err := pmu.ByName(mech, 0); err == nil {
+		if machine, ok := topology.Preset(m.PaperConfig().Machine); ok {
+			return machine
+		}
 	}
+	return topology.MagnyCours48()
 }
 
 // BaseConfig assembles the standard experiment configuration for a

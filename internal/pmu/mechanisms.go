@@ -98,7 +98,9 @@ func (*IBS) Caps() Capability {
 }
 
 // PaperConfig implements Mechanism (Table 1).
-func (*IBS) PaperConfig() Config { return Config{Event: "IBS op", Period: 64 * 1024} }
+func (*IBS) PaperConfig() Config {
+	return Config{Event: "IBS op", Period: 64 * 1024, Machine: "amd-magny-cours-48"}
+}
 
 // Period implements Mechanism.
 func (m *IBS) Period() uint64 { return m.period }
@@ -152,7 +154,9 @@ func (*MRK) Caps() Capability {
 }
 
 // PaperConfig implements Mechanism (Table 1).
-func (*MRK) PaperConfig() Config { return Config{Event: "PM_MRK_FROM_L3MISS", Period: 1} }
+func (*MRK) PaperConfig() Config {
+	return Config{Event: "PM_MRK_FROM_L3MISS", Period: 1, Machine: "ibm-power7-128"}
+}
 
 // Period implements Mechanism.
 func (m *MRK) Period() uint64 { return m.period }
@@ -207,7 +211,9 @@ func (*PEBS) Caps() Capability {
 }
 
 // PaperConfig implements Mechanism (Table 1).
-func (*PEBS) PaperConfig() Config { return Config{Event: "INST_RETIRED:ANY_P", Period: 1000000} }
+func (*PEBS) PaperConfig() Config {
+	return Config{Event: "INST_RETIRED:ANY_P", Period: 1000000, Machine: "intel-harpertown-8"}
+}
 
 // Period implements Mechanism.
 func (m *PEBS) Period() uint64 { return m.period }
@@ -261,7 +267,9 @@ func (*DEAR) Caps() Capability {
 }
 
 // PaperConfig implements Mechanism (Table 1).
-func (*DEAR) PaperConfig() Config { return Config{Event: "DATA_EAR_CACHE_LAT4", Period: 20000} }
+func (*DEAR) PaperConfig() Config {
+	return Config{Event: "DATA_EAR_CACHE_LAT4", Period: 20000, Machine: "intel-itanium2-8"}
+}
 
 // Period implements Mechanism.
 func (m *DEAR) Period() uint64 { return m.period }
@@ -327,7 +335,7 @@ func (*PEBSLL) Caps() Capability {
 
 // PaperConfig implements Mechanism (Table 1).
 func (*PEBSLL) PaperConfig() Config {
-	return Config{Event: "LATENCY_ABOVE_THRESHOLD", Period: 500000}
+	return Config{Event: "LATENCY_ABOVE_THRESHOLD", Period: 500000, Machine: "intel-ivybridge-8"}
 }
 
 // Period implements Mechanism.
@@ -387,7 +395,9 @@ func (*SoftIBS) Caps() Capability {
 }
 
 // PaperConfig implements Mechanism (Table 1).
-func (*SoftIBS) PaperConfig() Config { return Config{Event: "memory accesses", Period: 10000000} }
+func (*SoftIBS) PaperConfig() Config {
+	return Config{Event: "memory accesses", Period: 10000000, Machine: "amd-magny-cours-48"}
+}
 
 // Period implements Mechanism.
 func (m *SoftIBS) Period() uint64 { return m.period }

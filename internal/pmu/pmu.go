@@ -86,11 +86,13 @@ type Capability struct {
 	RequiresThreadBinding bool
 }
 
-// Config is one Table 1 row: the event programmed into the PMU and the
-// sampling period.
+// Config is one Table 1 row: the event programmed into the PMU, the
+// sampling period, and the testbed the mechanism was evaluated on.
 type Config struct {
 	Event  string
 	Period uint64
+	// Machine is the testbed's topology preset name.
+	Machine string
 }
 
 // Costs models where a mechanism's overhead comes from, in cycles.

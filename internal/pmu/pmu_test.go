@@ -61,6 +61,18 @@ func TestNamesAndByName(t *testing.T) {
 	}
 }
 
+// Every mechanism's Table 1 testbed is a topology preset: the server's
+// default machine and the experiments' testbeds both read it.
+func TestPaperConfigMachineIsPreset(t *testing.T) {
+	for _, name := range Names() {
+		mech, _ := ByName(name, 0)
+		machine := mech.PaperConfig().Machine
+		if m, ok := topology.Preset(machine); !ok || m.Name != machine {
+			t.Errorf("%s: testbed %q is not a topology preset", name, machine)
+		}
+	}
+}
+
 func TestCapabilityMatrixMatchesPaper(t *testing.T) {
 	// Section 10: IBS and PEBS-LL measure latency; IBS and PEBS sample
 	// all instructions; MRK samples only its event; PEBS is imprecise;

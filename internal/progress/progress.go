@@ -289,8 +289,9 @@ func (h *Hub) send(sub *Subscription, ev Event) {
 // snapshot and latest lifecycle event with IDs past lastID, in ID
 // order — and the live subscription, atomically: every event is either
 // in the replay or delivered on the channel, never both or neither.
-// On an already-terminal hub the channel comes back closed, so the
-// replay (ending in the terminal event) is the whole stream.
+// On an already-terminal hub the channel comes back closed and
+// unbuffered, since nothing more can arrive: the replay (ending in the
+// terminal event) is the whole stream.
 func (h *Hub) Subscribe(lastID uint64, buf int) ([]Event, *Subscription) {
 	if buf <= 0 {
 		buf = DefaultSubscriberBuffer
@@ -307,11 +308,13 @@ func (h *Hub) Subscribe(lastID uint64, buf int) ([]Event, *Subscription) {
 	if len(replay) == 2 && replay[0].ID > replay[1].ID {
 		replay[0], replay[1] = replay[1], replay[0]
 	}
-	sub := &Subscription{hub: h, ch: make(chan Event, buf)}
+	sub := &Subscription{hub: h}
 	if h.terminal {
+		sub.ch = make(chan Event)
 		sub.closed = true
 		close(sub.ch)
 	} else {
+		sub.ch = make(chan Event, buf)
 		h.subs[sub] = struct{}{}
 	}
 	return replay, sub

@@ -55,6 +55,25 @@ func TestHubLifecycleAndTerminalClose(t *testing.T) {
 	sub.Close()
 }
 
+// A subscriber to a finished stream gets the replay and a closed,
+// unbuffered channel: nothing more can arrive, so no buffer is made.
+func TestHubTerminalSubscribeHasNoBuffer(t *testing.T) {
+	h := NewHub()
+	h.Publish(EventQueued, nil, nil)
+	h.Publish(EventDone, nil, nil)
+	replay, sub := h.Subscribe(0, 0)
+	if len(replay) != 1 || replay[0].Type != EventDone {
+		t.Fatalf("replay = %+v, want the done event", replay)
+	}
+	if c := cap(sub.C()); c != 0 {
+		t.Fatalf("terminal subscription buffers %d events, want 0", c)
+	}
+	if _, open := <-sub.C(); open {
+		t.Fatal("terminal subscription channel is open")
+	}
+	sub.Close()
+}
+
 func TestHubRefusesLifecycleRegression(t *testing.T) {
 	h := NewHub()
 	_, sub := h.Subscribe(0, 8)

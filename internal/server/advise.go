@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -20,13 +19,12 @@ import (
 // regular Job — same state machine, journal records, retry policy, and
 // worker pool — whose spec is the target's with Advise set, so its key
 // is distinct from the profile's and the whole run is deduped and
-// durable like any other submission. Execution reuses the
-// content-addressed store twice over: the baseline profile is a
-// GetOrCompute on the target's own key (a hit when the target just
-// ran), and every candidate remedy's re-run is a GetOrCompute on the
-// transformed spec's key — the store is the checkpoint, so a crashed or
-// repeated advise run replays finished candidates instead of
-// recomputing them.
+// durable like any other submission. Every profile it needs comes
+// through resolve, the single-spec job path: the baseline on the
+// target's own key (a hit when the target just ran), and each candidate
+// remedy's re-run as a cell (runCell) on the transformed spec's key —
+// the store is the checkpoint, so a crashed or repeated advise run
+// replays finished candidates instead of recomputing them.
 
 // handleAdvise validates the target and submits the advise job:
 // 404 for an unknown id, 409 for a job that has not reached done, 400
@@ -92,7 +90,7 @@ func (s *Server) computeAdvice(ctx context.Context, job *Job, track bool) ([]byt
 	base.Advise = false
 	baseKey := base.Key()
 
-	baseline, baseCached, err := s.profileFor(ctx, base, baseKey)
+	baseline, baseCached, err := s.resolve(ctx, job, base, baseKey, false)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -116,34 +114,22 @@ func (s *Server) computeAdvice(ctx context.Context, job *Job, track bool) ([]byt
 	}
 
 	// Candidates run at width 1 (job-level parallelism belongs to the
-	// pool, like sweeps), so plain counters are race-free.
+	// pool, like sweeps), so a plain counter is race-free.
 	replayed := 0
 	run := func(cellCtx context.Context, i int, _ advisor.Transform) (*core.Profile, error) {
-		if track {
-			job.setCell(i, StateRunning, "")
-		}
 		_, done := telemetry.Timed(cellCtx, "server.advise_rerun",
 			telemetry.String("id", job.id), telemetry.String("label", cands[i].Label))
 		start := time.Now()
-		p, cached, err := s.profileFor(cellCtx, specs[i], keys[i])
+		p, cached, err := s.runCell(cellCtx, job, i, specs[i], keys[i], track)
 		s.m.rerun.Observe(time.Since(start))
 		done()
 		if err != nil {
-			if track {
-				job.setCell(i, StateFailed, err.Error())
-			}
 			return nil, err
 		}
 		if cached {
 			replayed++
-			s.m.cellsReplayed.Inc()
-		} else {
-			s.m.cellsRecomputed.Inc()
 		}
 		s.m.remediesApplied.Inc()
-		if track {
-			job.setCell(i, StateDone, "")
-		}
 		return p, nil
 	}
 
@@ -179,28 +165,6 @@ func (s *Server) computeAdvice(ctx context.Context, job *Job, track bool) ([]byt
 	}
 	allCached := baseCached && replayed == len(cands)
 	return blob, rep, allCached, nil
-}
-
-// profileFor resolves a single-run spec to its profile through the
-// store: single-flight dedup, LRU, disk, and — on a miss — one
-// scheduler-isolated core.Analyze, exactly the single-spec job path.
-func (s *Server) profileFor(ctx context.Context, spec Spec, key store.Key) (*core.Profile, bool, error) {
-	return s.st.GetOrCompute(ctx, key, func() (*core.Profile, error) {
-		res, err := sched.MapWithCtx(ctx, 1, 1, func(cellCtx context.Context, _ int) (*core.Profile, error) {
-			cfg, app, err := spec.Build()
-			if err != nil {
-				return nil, err
-			}
-			return core.AnalyzeCtx(cellCtx, cfg, app)
-		})
-		if err != nil {
-			if sweep, ok := sched.AsSweep(err); ok && len(sweep.Cells) > 0 {
-				return nil, sweep.Cells[0].Err
-			}
-			return nil, err
-		}
-		return res[0], nil
-	})
 }
 
 // applyTransform clones a baseline spec with a remedy's knobs turned.

@@ -30,8 +30,8 @@ type metrics struct {
 	shed             *telemetry.Counter // deadline-infeasible rejections
 	breakerTrips     *telemetry.Counter // breaker open transitions
 	breakerFastFails *telemetry.Counter // submissions refused while open
-	cellsReplayed    *telemetry.Counter // sweep cells served from checkpoint
-	cellsRecomputed  *telemetry.Counter // sweep cells computed and saved
+	cellsReplayed    *telemetry.Counter // sweep/advise cells served from the store
+	cellsRecomputed  *telemetry.Counter // sweep/advise cells computed and stored
 
 	// Optimizer instruments: advise endpoint traffic, remedies actually
 	// re-run, and per-candidate rerun latency.

@@ -5,15 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/progress"
 	"repro/internal/sched"
 	"repro/internal/store"
-	"repro/internal/telemetry"
 )
 
 // Errors the admission-control path maps to HTTP statuses, alongside
@@ -273,24 +271,12 @@ func (s *Server) Recover(rec *store.RecoveredJournal) error {
 		s.mu.Lock()
 		full := len(s.queue) == cap(s.queue)
 		if !full {
-			if err := s.journalAppend(job, StateQueued, "", false, true); err != nil {
-				s.mu.Unlock()
-				job.cancel()
-				return err
-			}
-			s.m.submitted.Inc()
-			s.m.queued.Add(1)
-			// Recovered jobs stream like fresh ones: a subscriber that
-			// reconnects after the restart sees queued → running →
-			// snapshots → terminal in order, with Recovered set on the
-			// lifecycle payloads.
-			job.hub.SetInstruments(s.m.streamDropped)
-			job.publish(progress.EventQueued)
-			_, job.queueSpan = telemetry.Start(job.ctx, "server.job_queued",
-				telemetry.String("id", job.id), telemetry.String("workload", n.Workload))
-			s.queue <- job
+			err = s.enqueue(job)
 		}
 		s.mu.Unlock()
+		if err != nil {
+			return err
+		}
 		if full {
 			job.cancel()
 			if err := s.failRecovered(jj, n, n.Key(), "recovered job exceeds queue capacity", now); err != nil {
@@ -354,13 +340,15 @@ func parseJobSeq(id string) (uint64, bool) {
 	return n, true
 }
 
-// executeSweep runs a multi-cell job with per-cell checkpointing: the
-// content-addressed store is the checkpoint substrate, so completed
-// cells persist the moment they finish and any retry, recovery, or even
-// an identical later sweep replays them instead of recomputing. Cell
-// indices follow Cells' input order, and each cell's profile is exactly
-// what a single-spec job for that cell produces — the reassembly
-// contract that keeps recovered results byte-identical.
+// executeSweep runs a multi-cell job, one cell at a time through
+// runCell: the content-addressed store is the checkpoint, so a cell
+// finished by any earlier attempt, recovery, identical sweep or
+// single-spec job replays instead of recomputing, and a cell whose
+// profile cannot be stored fails. Cell indices follow Cells' input
+// order, and each cell's profile is exactly what a single-spec job for
+// that cell produces — the reassembly contract that keeps recovered
+// results byte-identical. The sweep is done exactly when every cell's
+// profile is stored, and a cache hit when every cell was.
 func (s *Server) executeSweep(ctx context.Context, job *Job) (State, string, bool, error) {
 	cells, err := job.spec.Cells()
 	if err != nil {
@@ -377,43 +365,16 @@ func (s *Server) executeSweep(ctx context.Context, job *Job) (State, string, boo
 	}
 	job.setCells(statuses)
 
-	replayed := 0 // single sweep worker, so plain ints are safe
-	ck := sched.CheckpointFuncs[*core.Profile]{
-		LookupFn: func(i int) (*core.Profile, bool) {
-			if !s.st.Has(keys[i]) {
-				return nil, false
-			}
-			p, err := s.st.Get(keys[i])
-			if err != nil {
-				return nil, false // corrupt checkpoint: recompute overwrites it
-			}
-			replayed++
-			s.m.cellsReplayed.Inc()
-			job.setCell(i, StateDone, "")
-			return p, true
-		},
-		SaveFn: func(i int, p *core.Profile) error {
-			if err := s.st.Put(keys[i], p); err != nil {
-				return err
-			}
-			s.m.cellsRecomputed.Inc()
-			job.setCell(i, StateDone, "")
-			return nil
-		},
-	}
 	// One worker: job-level parallelism is the pool's, exactly like the
 	// single-spec path.
-	_, err = sched.MapCkptWithCtx(ctx, 1, len(cells), ck, func(cellCtx context.Context, i int) (*core.Profile, error) {
-		job.setCell(i, StateRunning, "")
-		cfg, app, err := cells[i].Build()
-		if err != nil {
-			return nil, err
-		}
-		return core.AnalyzeCtx(cellCtx, cfg, app)
+	hits, err := sched.MapWithCtx(ctx, 1, len(cells), func(cellCtx context.Context, i int) (bool, error) {
+		_, cached, err := s.runCell(cellCtx, job, i, cells[i], keys[i], true)
+		return cached, err
 	})
 	if err != nil {
 		var firstErr error = err
 		if sweep, ok := sched.AsSweep(err); ok && len(sweep.Cells) > 0 {
+			// Cells skipped after a cancel never reached runCell.
 			for _, ce := range sweep.Cells {
 				job.setCell(ce.Index, StateFailed, ce.Err.Error())
 			}
@@ -425,5 +386,5 @@ func (s *Server) executeSweep(ctx context.Context, job *Job) (State, string, boo
 		}
 		return StateFailed, err.Error(), false, firstErr
 	}
-	return StateDone, "", replayed == len(cells), nil
+	return StateDone, "", !slices.Contains(hits, false), nil
 }

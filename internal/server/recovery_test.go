@@ -301,6 +301,43 @@ func TestSweepResumesFromPartialCheckpoint(t *testing.T) {
 	}
 }
 
+// TestSweepFailsWhenCellsCannotBeStored: the store is a sweep's only
+// output, so a cell whose profile cannot be stored fails, and the
+// sweep with it, a permanent failure the breaker counts. Done means
+// every cell's profile is stored.
+func TestSweepFailsWhenCellsCannotBeStored(t *testing.T) {
+	s, c := newTestServer(t, func(o *Options) { o.BreakerThreshold = 1 })
+	dir := s.Store().Dir()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	// Shutdown flushes the store directory; give it one back.
+	t.Cleanup(func() { os.MkdirAll(dir, 0o755) })
+	sweep := Spec{Workload: "blackscholes", Strategy: "baseline,interleave", Iters: 1}
+	st, err := c.Submit(context.Background(), sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, c, st.ID)
+	if final.State != StateFailed || !strings.Contains(final.Error, "2 of 2 cells failed") {
+		t.Errorf("sweep ended %s (error %q), want failed with both cells", final.State, final.Error)
+	}
+	if len(final.Cells) != 2 {
+		t.Fatalf("cells = %d, want 2", len(final.Cells))
+	}
+	for i, cell := range final.Cells {
+		if cell.State != StateFailed || cell.Error == "" {
+			t.Errorf("cell %d: %+v, want failed with an error", i, cell)
+		}
+		if s.Store().Has(cell.Key) {
+			t.Errorf("cell %d: profile stored in a removed store", i)
+		}
+	}
+	if _, err := s.Submit(sweep); !errors.Is(err, ErrCircuitOpen) {
+		t.Errorf("resubmitted sweep: %v, want the breaker open", err)
+	}
+}
+
 // TestJournalRecoveryInProcess simulates a crash without a process
 // boundary: server A journals a finished job and abandons two pending
 // ones; server B recovers the journal into the same store and drives

@@ -319,25 +319,36 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 		s.log.Warn("job rejected, queue full", "id", id, "key", string(job.key))
 		return nil, withRetryAfter(ErrQueueFull, time.Second)
 	}
-	// Write-ahead: the queued record is durable before the job is
-	// acknowledged, so a crash between the 202 and the run is always
-	// recoverable. A journal that cannot append refuses the job.
+	if err := s.enqueue(job); err != nil {
+		return nil, err
+	}
+	s.seq++
+	s.jobs[id] = job
+	s.order = append(s.order, id)
+	s.log.Debug("job queued", "id", id, "workload", n.Workload, "key", string(job.key))
+	return job, nil
+}
+
+// enqueue hands an accepted job to the workers; the caller holds s.mu
+// and has checked that the queue has room. Write-ahead: the queued
+// record is durable before the job is acknowledged, so a crash between
+// the acknowledgement and the run is always recoverable, and a journal
+// that cannot append refuses the job. The job then streams like any
+// other: a recovered job's subscriber sees queued → running → terminal
+// in order, with Recovered set on the lifecycle payloads.
+func (s *Server) enqueue(job *Job) error {
 	if err := s.journalAppend(job, StateQueued, "", false, true); err != nil {
 		job.cancel()
-		return nil, err
+		return err
 	}
 	s.m.submitted.Inc()
 	s.m.queued.Add(1)
 	job.hub.SetInstruments(s.m.streamDropped)
 	job.publish(progress.EventQueued)
 	_, job.queueSpan = telemetry.Start(job.ctx, "server.job_queued",
-		telemetry.String("id", id), telemetry.String("workload", n.Workload))
+		telemetry.String("id", job.id), telemetry.String("workload", job.spec.Workload))
 	s.queue <- job
-	s.seq++
-	s.jobs[id] = job
-	s.order = append(s.order, id)
-	s.log.Debug("job queued", "id", id, "workload", n.Workload, "key", string(job.key))
-	return job, nil
+	return nil
 }
 
 // JobByID looks a job up.
@@ -479,12 +490,9 @@ func (s *Server) runJob(job *Job) {
 	job.publish(string(outcome))
 }
 
-// execute resolves one attempt to its outcome: a store hit, a fresh run
-// (or checkpointed sweep), a cancellation, or a failure. The raw error
-// rides along for the retry policy's fault classification. The fresh
-// run goes through the scheduler so a panicking workload fails its own
-// job without taking a worker down, and a cancelled job refuses to
-// start at all.
+// execute resolves one attempt to its outcome: a store hit, a fresh
+// run, a cancellation, or a failure. The raw error rides along for the
+// retry policy's fault classification.
 func (s *Server) execute(ctx context.Context, job *Job, attempt int) (State, string, bool, error) {
 	if err := job.ctx.Err(); err != nil {
 		st, msg, hit := cancelOutcome(err)
@@ -503,21 +511,48 @@ func (s *Server) execute(ctx context.Context, job *Job, attempt int) (State, str
 	if job.spec.IsSweep() {
 		return s.executeSweep(ctx, job)
 	}
-	_, cached, err := s.st.GetOrCompute(ctx, job.key, func() (*core.Profile, error) {
+	_, cached, err := s.resolve(ctx, job, job.spec, job.key, true)
+	switch {
+	case err == nil:
+		return StateDone, "", cached, nil
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		st, msg, hit := cancelOutcome(err)
+		return st, msg, hit, err
+	default:
+		return StateFailed, err.Error(), false, err
+	}
+}
+
+// resolve is the one path from a single-run spec to its stored profile,
+// for single jobs, sweep cells and advise candidates alike. The store
+// answers first (single-flight dedup, LRU, disk); on a miss it runs one
+// build and core.AnalyzeCtx through the scheduler, so a panicking
+// workload fails its own call without taking a worker down, and a
+// cancelled context refuses to start. The store persists the result
+// before resolve returns it: a profile that cannot be stored is an
+// error, and cached reports a store hit.
+//
+// live attaches the job's snapshot sink when SnapshotEvery is set; only
+// a single-spec job passes it. Only the first computation of a key
+// streams snapshots: a cache hit or dedup-waiting duplicate streams
+// lifecycle events only.
+func (s *Server) resolve(ctx context.Context, job *Job, spec Spec, key store.Key, live bool) (*core.Profile, bool, error) {
+	return s.st.GetOrCompute(ctx, key, func() (*core.Profile, error) {
+		// The cell closure below escapes; copying the spec here keeps
+		// a store hit from moving it to the heap.
+		spec := spec
 		res, err := sched.MapWithCtx(ctx, 1, 1, func(cellCtx context.Context, _ int) (*core.Profile, error) {
 			_, buildDone := telemetry.Timed(cellCtx, "pipeline.build_config",
-				telemetry.String("workload", job.spec.Workload))
-			cfg, app, err := job.spec.Build()
+				telemetry.String("workload", spec.Workload))
+			cfg, app, err := spec.Build()
 			buildDone()
 			if err != nil {
 				return nil, err
 			}
 			// Live streaming is a server option, never a Spec field:
 			// the store key and the profile bytes stay identical with
-			// or without it. Only the first computation of a key runs
-			// this — a cache hit or dedup-waiting duplicate streams
-			// lifecycle events only.
-			if s.snapshotEvery > 0 {
+			// or without it.
+			if live && s.snapshotEvery > 0 {
 				cfg.SnapshotEvery = s.snapshotEvery
 				cfg.SnapshotTopK = s.topVars
 				cfg.OnSnapshot = func(snap progress.Snapshot) {
@@ -535,15 +570,33 @@ func (s *Server) execute(ctx context.Context, job *Job, attempt int) (State, str
 		}
 		return res[0], nil
 	})
-	switch {
-	case err == nil:
-		return StateDone, "", cached, nil
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		st, msg, hit := cancelOutcome(err)
-		return st, msg, hit, err
-	default:
-		return StateFailed, err.Error(), false, err
+}
+
+// runCell resolves cell i of a sweep or advise job. The cell turns
+// running, gets its profile through resolve, and ends failed or done; a
+// profile that came back cached counts as replayed, a computed one as
+// recomputed. track is false on the view path's recompute, which must
+// not touch a terminal job's cell table.
+func (s *Server) runCell(ctx context.Context, job *Job, i int, spec Spec, key store.Key, track bool) (*core.Profile, bool, error) {
+	if track {
+		job.setCell(i, StateRunning, "")
 	}
+	p, cached, err := s.resolve(ctx, job, spec, key, false)
+	if err != nil {
+		if track {
+			job.setCell(i, StateFailed, err.Error())
+		}
+		return nil, false, err
+	}
+	if cached {
+		s.m.cellsReplayed.Inc()
+	} else {
+		s.m.cellsRecomputed.Inc()
+	}
+	if track {
+		job.setCell(i, StateDone, "")
+	}
+	return p, cached, nil
 }
 
 // cancelOutcome distinguishes an explicit cancel from a timeout.

@@ -26,8 +26,8 @@ import (
 type Spec struct {
 	// Workload is required: lulesh, amg2006, blackscholes, umt2013.
 	// A comma-separated list turns the job into a sweep (see IsSweep):
-	// one cell per workload × strategy combination, checkpointed
-	// per-cell in the store.
+	// one cell per workload × strategy combination, each stored
+	// under its own key as it finishes.
 	Workload string `json:"workload"`
 	// Mechanism is the sampling back end (default IBS).
 	Mechanism string `json:"mechanism,omitempty"`
@@ -63,23 +63,6 @@ type Spec struct {
 	// every pre-existing spec's canonical JSON — and store key —
 	// unchanged.
 	Advise bool `json:"advise,omitempty"`
-}
-
-// defaultMachineFor mirrors the CLI's mechanism → Table 1 testbed
-// mapping.
-func defaultMachineFor(mechanism string) string {
-	switch mechanism {
-	case "MRK":
-		return "ibm-power7-128"
-	case "PEBS":
-		return "intel-harpertown-8"
-	case "DEAR":
-		return "intel-itanium2-8"
-	case "PEBS-LL":
-		return "intel-ivybridge-8"
-	default:
-		return "amd-magny-cours-48"
-	}
 }
 
 // knownWorkload reports whether name is one of the four benchmarks.
@@ -126,29 +109,14 @@ func (s Spec) Normalize() (Spec, error) {
 	if !knownWorkload(n.Workload) {
 		return n, fmt.Errorf("unknown workload %q (lulesh|amg2006|blackscholes|umt2013)", n.Workload)
 	}
-	if n.Mechanism == "" {
-		n.Mechanism = "IBS"
-	}
-	if _, err := pmu.ByName(n.Mechanism, n.Period); err != nil {
-		return n, err // "pmu: unknown mechanism ..."
-	}
-	if n.Machine == "" {
-		n.Machine = defaultMachineFor(n.Mechanism)
-	}
-	if names := topology.PresetNames(); !slices.Contains(names, n.Machine) {
-		return n, fmt.Errorf("unknown machine %q; presets: %s", n.Machine, strings.Join(names, ", "))
-	}
-	if n.Binding == "" {
-		n.Binding = "compact"
-	}
-	if n.Binding != "compact" && n.Binding != "scatter" {
-		return n, fmt.Errorf("unknown binding %q (compact|scatter)", n.Binding)
-	}
 	if n.Strategy == "" {
 		n.Strategy = string(workloads.Baseline)
 	}
 	if !validStrategy(n.Strategy) {
 		return n, fmt.Errorf("unknown strategy %q", n.Strategy)
+	}
+	if err := n.resolveShared(); err != nil {
+		return n, err
 	}
 	if n.Workload == "umt2013" {
 		if n.Threads == 0 {
@@ -157,24 +125,6 @@ func (s Spec) Normalize() (Spec, error) {
 		if n.Binding == "compact" {
 			n.Binding = "scatter"
 		}
-	}
-	if n.Threads < 0 {
-		return n, fmt.Errorf("negative thread count %d", n.Threads)
-	}
-	if n.Bins < 0 {
-		return n, fmt.Errorf("negative bin count %d", n.Bins)
-	}
-	if n.Iters < 0 {
-		return n, fmt.Errorf("negative iteration count %d", n.Iters)
-	}
-	if n.Chaos != "" {
-		if _, err := faults.ParsePlan(n.Chaos); err != nil {
-			return n, err // "faults: ..."
-		}
-	}
-	if n.FirstTouch == nil {
-		ft := true
-		n.FirstTouch = &ft
 	}
 	if n.Advise && !*n.FirstTouch {
 		// The advisor's first-touch remedies need the pinpointing view;
@@ -212,41 +162,8 @@ func (s Spec) normalizeSweep() (Spec, error) {
 		}
 	}
 	n.Strategy = strings.Join(sts, ",")
-	if n.Mechanism == "" {
-		n.Mechanism = "IBS"
-	}
-	if _, err := pmu.ByName(n.Mechanism, n.Period); err != nil {
+	if err := n.resolveShared(); err != nil {
 		return n, err
-	}
-	if n.Machine == "" {
-		n.Machine = defaultMachineFor(n.Mechanism)
-	}
-	if !slices.Contains(topology.PresetNames(), n.Machine) {
-		return n, fmt.Errorf("unknown machine %q", n.Machine)
-	}
-	if n.Binding == "" {
-		n.Binding = "compact"
-	}
-	if n.Binding != "compact" && n.Binding != "scatter" {
-		return n, fmt.Errorf("unknown binding %q (compact|scatter)", n.Binding)
-	}
-	if n.Threads < 0 {
-		return n, fmt.Errorf("negative thread count %d", n.Threads)
-	}
-	if n.Bins < 0 {
-		return n, fmt.Errorf("negative bin count %d", n.Bins)
-	}
-	if n.Iters < 0 {
-		return n, fmt.Errorf("negative iteration count %d", n.Iters)
-	}
-	if n.Chaos != "" {
-		if _, err := faults.ParsePlan(n.Chaos); err != nil {
-			return n, err
-		}
-	}
-	if n.FirstTouch == nil {
-		ft := true
-		n.FirstTouch = &ft
 	}
 	// Every cell must stand alone (the umt2013 quirks can surface new
 	// errors only through the per-cell path, but future workloads may
@@ -261,6 +178,52 @@ func (s Spec) normalizeSweep() (Spec, error) {
 		}
 	}
 	return n, nil
+}
+
+// resolveShared resolves and checks the fields a single run and a sweep
+// share: the mechanism (default IBS), the machine (default the
+// mechanism's Table 1 testbed, as in the CLI), the binding, the thread,
+// bin and iteration counts, the chaos plan and first-touch tracking
+// (default on, the CLI default).
+func (n *Spec) resolveShared() error {
+	if n.Mechanism == "" {
+		n.Mechanism = "IBS"
+	}
+	mech, err := pmu.ByName(n.Mechanism, n.Period)
+	if err != nil {
+		return err // "pmu: unknown mechanism ..."
+	}
+	if n.Machine == "" {
+		n.Machine = mech.PaperConfig().Machine
+	}
+	if names := topology.PresetNames(); !slices.Contains(names, n.Machine) {
+		return fmt.Errorf("unknown machine %q; presets: %s", n.Machine, strings.Join(names, ", "))
+	}
+	if n.Binding == "" {
+		n.Binding = "compact"
+	}
+	if n.Binding != "compact" && n.Binding != "scatter" {
+		return fmt.Errorf("unknown binding %q (compact|scatter)", n.Binding)
+	}
+	if n.Threads < 0 {
+		return fmt.Errorf("negative thread count %d", n.Threads)
+	}
+	if n.Bins < 0 {
+		return fmt.Errorf("negative bin count %d", n.Bins)
+	}
+	if n.Iters < 0 {
+		return fmt.Errorf("negative iteration count %d", n.Iters)
+	}
+	if n.Chaos != "" {
+		if _, err := faults.ParsePlan(n.Chaos); err != nil {
+			return err // "faults: ..."
+		}
+	}
+	if n.FirstTouch == nil {
+		ft := true
+		n.FirstTouch = &ft
+	}
+	return nil
 }
 
 // chaosPlan parses the spec's fault plan, nil when absent or invalid
@@ -288,8 +251,7 @@ func validStrategy(name string) bool {
 
 // Cells expands a spec into its normalized single-run cells, workloads
 // outer × strategies inner — the sweep's input order, which fixes cell
-// indices for the checkpoint. A non-sweep spec yields exactly its own
-// normalized form.
+// indices. A non-sweep spec yields exactly its own normalized form.
 func (s Spec) Cells() ([]Spec, error) {
 	n, err := s.Normalize()
 	if err != nil {

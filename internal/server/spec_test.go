@@ -93,7 +93,8 @@ func TestNormalizeUnknownMachineText(t *testing.T) {
 	}{
 		{Spec{Workload: "lulesh", Machine: "pdp-11"},
 			`unknown machine "pdp-11"; presets: amd-magny-cours-48, ibm-power7-128, intel-harpertown-8, intel-itanium2-8, intel-ivybridge-8`},
-		{Spec{Workload: "lulesh,amg2006", Machine: "pdp-11"}, `unknown machine "pdp-11"`},
+		{Spec{Workload: "lulesh,amg2006", Machine: "pdp-11"},
+			`unknown machine "pdp-11"; presets: amd-magny-cours-48, ibm-power7-128, intel-harpertown-8, intel-itanium2-8, intel-ivybridge-8`},
 	}
 	for _, c := range cases {
 		_, err := c.spec.Normalize()

@@ -180,6 +180,40 @@ func TestGetOrComputeTiers(t *testing.T) {
 	}
 }
 
+// A failed compute stores nothing, so the next call for the key
+// computes again instead of serving or waiting on the failure.
+func TestGetOrComputeFailureStoresNothing(t *testing.T) {
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey("failing")
+	boom := errors.New("compute failed")
+	_, _, err = s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
+		return nil, boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the compute's error", err)
+	}
+	if s.Has(k) {
+		t.Fatal("failed compute left a profile in the store")
+	}
+	computes := 0
+	_, cached, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
+		computes++
+		return testProfile(t, 1), nil
+	})
+	if err != nil || cached || computes != 1 {
+		t.Fatalf("next call: cached=%v err=%v computes=%d, want one fresh compute", cached, err, computes)
+	}
+	if !s.Has(k) {
+		t.Fatal("recomputed profile not stored")
+	}
+	if st := s.Stats(); st.Misses != 2 || st.Saves != 1 {
+		t.Fatalf("stats = %+v, want 2 misses and 1 save", st)
+	}
+}
+
 func TestGetOrComputeDedupsInflight(t *testing.T) {
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {
