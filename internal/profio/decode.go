@@ -71,11 +71,13 @@ func Load(r io.Reader) (*core.Profile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("profio: read: %w", err)
 	}
-	return load(data)
+	return LoadBytes(data)
 }
 
-// load is Load over the file's bytes.
-func load(data []byte) (*core.Profile, error) {
+// LoadBytes is Load over a file's bytes already in memory. The profile
+// keeps no reference into data (TestLoadedProfilesDoNotAliasInput), so
+// the caller may reuse the buffer as soon as LoadBytes returns.
+func LoadBytes(data []byte) (*core.Profile, error) {
 	p, err := decodeFile(data, nil)
 	if err != nil {
 		telemetry.Default.Counter("profio_load_errors_total").Inc()

@@ -215,7 +215,7 @@ func TestLoadedProfilesDoNotAliasInput(t *testing.T) {
 	want := make([][]byte, len(shapes))
 	for i, s := range shapes {
 		data := bytes.Clone(s.data)
-		p, err := load(data)
+		p, err := LoadBytes(data)
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}

@@ -26,9 +26,22 @@ func SaveFile(path string, p *core.Profile) error {
 // LoadFile strictly loads a measurement file from disk, read in one
 // buffer sized to the file.
 func LoadFile(path string) (*core.Profile, error) {
+	var p *core.Profile
+	err := WithFileBytes(path, func(data []byte) (err error) {
+		p, err = LoadBytes(data)
+		return err
+	})
+	return p, err
+}
+
+// WithFileBytes reads a file into one pooled buffer sized to it and
+// passes its bytes to use, returning use's error. The buffer goes back
+// to the pool when use returns, so use must keep no reference into
+// data; LoadBytes keeps none.
+func WithFileBytes(path string, use func(data []byte) error) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
 	buf := fileBufs.Get().(*bytes.Buffer)
@@ -39,14 +52,12 @@ func LoadFile(path string) (*core.Profile, error) {
 		buf.Grow(int(fi.Size()) + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(f); err != nil {
-		return nil, err
+		return err
 	}
-	return load(buf.Bytes())
+	return use(buf.Bytes())
 }
 
-// fileBufs holds LoadFile's read buffers. The decoder copies every byte
-// a profile keeps (interned strings, encoding/json values), so a buffer
-// is free for the next load as soon as load returns.
+// fileBufs holds WithFileBytes's read buffers.
 var fileBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // atomicWrite runs write against a temp file in path's directory and

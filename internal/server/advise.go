@@ -24,7 +24,9 @@ import (
 // target's own key (a hit when the target just ran), and each candidate
 // remedy's re-run as a cell (runCell) on the transformed spec's key —
 // the store is the checkpoint, so a crashed or repeated advise run
-// replays finished candidates instead of recomputing them.
+// replays finished candidates instead of recomputing them. The advisor
+// reads every one of those profiles, so each is then decoded through
+// Store.Get.
 
 // handleAdvise validates the target and submits the advise job:
 // 404 for an unknown id, 409 for a job that has not reached done, 400
@@ -90,7 +92,11 @@ func (s *Server) computeAdvice(ctx context.Context, job *Job, track bool) ([]byt
 	base.Advise = false
 	baseKey := base.Key()
 
-	baseline, baseCached, err := s.resolve(ctx, job, base, baseKey, false)
+	baseCached, err := s.resolve(ctx, job, base, baseKey, false)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	baseline, err := s.st.Get(baseKey)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -120,7 +126,11 @@ func (s *Server) computeAdvice(ctx context.Context, job *Job, track bool) ([]byt
 		_, done := telemetry.Timed(cellCtx, "server.advise_rerun",
 			telemetry.String("id", job.id), telemetry.String("label", cands[i].Label))
 		start := time.Now()
-		p, cached, err := s.runCell(cellCtx, job, i, specs[i], keys[i], track)
+		cached, err := s.runCell(cellCtx, job, i, specs[i], keys[i], track)
+		var p *core.Profile
+		if err == nil {
+			p, err = s.st.Get(keys[i])
+		}
 		s.m.rerun.Observe(time.Since(start))
 		done()
 		if err != nil {

@@ -186,3 +186,42 @@ func TestProfileViewAllocationGuard(t *testing.T) {
 	}
 	t.Logf("a ?view=profile fetch of %d bytes allocated %.0f bytes (%.2fx)", len(body), perFetch, perFetch/float64(len(body)))
 }
+
+// Client.Text and Client.HTMLReport copy a body once: it is read into
+// a pooled buffer, and the string they return is the one copy they
+// make. Converting a fresh read buffer to the string copied it twice.
+// The server sends a fixed 256 KiB body, so what a fetch allocates is
+// the client's, and a request's fixed cost, a few KB, does not hide a
+// copy.
+func TestTextViewAllocationGuard(t *testing.T) {
+	page := strings.Repeat("lpi_NUMA 0.0421  NUMA_MISMATCH 1234567\n", 256<<10/40)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(page)))
+		io.WriteString(w, page)
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+	for name, fetch := range map[string]func(context.Context, string) (string, error){
+		"Text": c.Text, "HTMLReport": c.HTMLReport,
+	} {
+		if got, err := fetch(ctx, "job-000001"); err != nil || got != page {
+			t.Fatalf("%s: %d bytes, err %v; want the %d-byte page", name, len(got), err, len(page))
+		}
+		const fetches = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range fetches {
+			if _, err := fetch(ctx, "job-000001"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perFetch := float64(after.TotalAlloc-before.TotalAlloc) / fetches
+		if limit := 1.5 * float64(len(page)); perFetch > limit {
+			t.Errorf("a %s fetch of %d bytes allocated %.0f bytes (%.2fx), want under %.0f (1.5x)",
+				name, len(page), perFetch, perFetch/float64(len(page)), limit)
+		}
+		t.Logf("a %s fetch of %d bytes allocated %.0f bytes (%.2fx)", name, len(page), perFetch, perFetch/float64(len(page)))
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/advisor"
@@ -109,6 +110,12 @@ func retryableStatus(code int) bool {
 // do issues one request, retrying transient refusals, and returns the
 // body of a 2xx response.
 func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+	return c.doInto(ctx, method, path, body, nil)
+}
+
+// doInto is do reading the body into buf when buf has room for it (see
+// readBody).
+func (c *Client) doInto(ctx context.Context, method, path string, body, buf []byte) ([]byte, error) {
 	maxRetries := c.retries()
 	for attempt := 0; ; attempt++ {
 		var r io.Reader
@@ -132,7 +139,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 			}
 			return nil, err
 		}
-		data, err := readBody(resp)
+		data, err := readBody(resp, buf)
 		resp.Body.Close()
 		if err != nil {
 			return nil, err
@@ -154,15 +161,19 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 const maxPresizedBody = 64 << 20
 
 // readBody reads a response body. A declared length up to
-// maxPresizedBody is read into one buffer of exactly that size, and a
-// body that ends short of it is io.ErrUnexpectedEOF; an unknown or
-// larger length is read as it arrives.
-func readBody(resp *http.Response) ([]byte, error) {
+// maxPresizedBody is read into buf when its capacity holds it, and into
+// one new buffer of exactly that size when not, and a body that ends
+// short of it is io.ErrUnexpectedEOF; an unknown or larger length is
+// read as it arrives.
+func readBody(resp *http.Response, buf []byte) ([]byte, error) {
 	n := resp.ContentLength
 	if n < 0 || n > maxPresizedBody {
 		return io.ReadAll(resp.Body)
 	}
-	data := make([]byte, n)
+	if int64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	data := buf[:n]
 	if _, err := io.ReadFull(resp.Body, data); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -217,21 +228,41 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
 	return st, json.Unmarshal(data, &st)
 }
 
+// viewPath is the path of one rendered view of a done job.
+func viewPath(id, kind string) string {
+	return "/api/v1/jobs/" + url.PathEscape(id) + "?view=" + kind
+}
+
 // view fetches one rendered view of a done job.
 func (c *Client) view(ctx context.Context, id, kind string) ([]byte, error) {
-	return c.do(ctx, http.MethodGet, "/api/v1/jobs/"+url.PathEscape(id)+"?view="+kind, nil)
+	return c.do(ctx, http.MethodGet, viewPath(id, kind), nil)
+}
+
+// bodyBufs lends getString its read buffers, each kept at the largest
+// body it has held.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// getString fetches a body as a string. The body is read into a pooled
+// buffer, so the returned string is the one copy of it the client
+// keeps.
+func (c *Client) getString(ctx context.Context, path string) (string, error) {
+	bp := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(bp)
+	b, err := c.doInto(ctx, http.MethodGet, path, nil, *bp)
+	if cap(b) > cap(*bp) {
+		*bp = b[:0]
+	}
+	return string(b), err
 }
 
 // Text fetches the text report of a done job.
 func (c *Client) Text(ctx context.Context, id string) (string, error) {
-	b, err := c.view(ctx, id, "text")
-	return string(b), err
+	return c.getString(ctx, viewPath(id, "text"))
 }
 
 // HTMLReport fetches the HTML report of a done job.
 func (c *Client) HTMLReport(ctx context.Context, id string) (string, error) {
-	b, err := c.view(ctx, id, "html")
-	return string(b), err
+	return c.getString(ctx, viewPath(id, "html"))
 }
 
 // ProfileBytes fetches the raw .numaprof measurement bytes of a done
@@ -387,8 +418,7 @@ func (c *Client) AdviseResult(ctx context.Context, id string) (*advisor.Report, 
 // comparison.
 func (c *Client) DiffText(ctx context.Context, a, b string) (string, error) {
 	q := url.Values{"a": {a}, "b": {b}, "view": {"text"}}
-	data, err := c.do(ctx, http.MethodGet, "/api/v1/diff?"+q.Encode(), nil)
-	return string(data), err
+	return c.getString(ctx, "/api/v1/diff?"+q.Encode())
 }
 
 // Metrics fetches the daemon's instrument snapshot.

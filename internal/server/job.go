@@ -89,8 +89,9 @@ func newJob(base context.Context, id string, spec Spec, key store.Key, now time.
 // newTerminalJob rebuilds a journal-recovered job that already reached
 // a terminal state in a previous process, so the API keeps answering
 // for it after a restart. Its context is pre-cancelled and its done
-// channel closed: no worker will ever touch it.
-func newTerminalJob(id string, spec Spec, key store.Key, st State, errMsg string, cacheHit bool, now time.Time) *Job {
+// channel closed: no worker will ever touch it. cells is its cell
+// table, nil when the journal cannot tell the cells' states.
+func newTerminalJob(id string, spec Spec, key store.Key, st State, errMsg string, cacheHit bool, cells []CellStatus, now time.Time) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	j := &Job{
@@ -102,6 +103,7 @@ func newTerminalJob(id string, spec Spec, key store.Key, st State, errMsg string
 		state:     st,
 		err:       errMsg,
 		cacheHit:  cacheHit,
+		cells:     cells,
 		recovered: true,
 		submitted: now,
 		finished:  now,

@@ -241,7 +241,15 @@ func (s *Server) Recover(rec *store.RecoveredJournal) error {
 		st := State(jj.State)
 
 		if st.Terminal() {
-			job := newTerminalJob(jj.ID, spec, store.Key(jj.Key), st, jj.Err, jj.CacheHit, now)
+			// A done sweep has every cell stored, so its journaled spec
+			// names its whole cell table. The journal keeps no per-cell
+			// states, so a failed or canceled sweep and an advise job
+			// come back without one.
+			var cells []CellStatus
+			if st == StateDone && specErr == nil && spec.IsSweep() && !spec.Advise {
+				_, cells, _ = cellTable(spec, StateDone)
+			}
+			job := newTerminalJob(jj.ID, spec, store.Key(jj.Key), st, jj.Err, jj.CacheHit, cells, now)
 			s.adoptJob(job)
 			continue
 		}
@@ -305,7 +313,7 @@ func (s *Server) Recover(rec *store.RecoveredJournal) error {
 // its spec and key when the journal still had them, then adopts the job
 // as failed.
 func (s *Server) failRecovered(jj store.JournalJob, spec Spec, key store.Key, msg string, now time.Time) error {
-	job := newTerminalJob(jj.ID, spec, key, StateFailed, msg, false, now)
+	job := newTerminalJob(jj.ID, spec, key, StateFailed, msg, false, nil, now)
 	job.setAttempt(jj.Attempt)
 	if err := s.journalAppend(job, StateFailed, msg, false, len(jj.Spec) > 0); err != nil {
 		return err
@@ -350,26 +358,17 @@ func parseJobSeq(id string) (uint64, bool) {
 // results byte-identical. The sweep is done exactly when every cell's
 // profile is stored, and a cache hit when every cell was.
 func (s *Server) executeSweep(ctx context.Context, job *Job) (State, string, bool, error) {
-	cells, err := job.spec.Cells()
+	cells, statuses, err := cellTable(job.spec, StateQueued)
 	if err != nil {
 		return StateFailed, err.Error(), false, err
-	}
-	keys := make([]store.Key, len(cells))
-	statuses := make([]CellStatus, len(cells))
-	for i, c := range cells {
-		keys[i] = c.Key()
-		statuses[i] = CellStatus{
-			Index: i, Workload: c.Workload, Strategy: c.Strategy,
-			Key: keys[i], State: StateQueued,
-		}
 	}
 	job.setCells(statuses)
 
 	// One worker: job-level parallelism is the pool's, exactly like the
-	// single-spec path.
+	// single-spec path. setCell writes only a cell's State and Error, so
+	// reading its Key here needs no lock.
 	hits, err := sched.MapWithCtx(ctx, 1, len(cells), func(cellCtx context.Context, i int) (bool, error) {
-		_, cached, err := s.runCell(cellCtx, job, i, cells[i], keys[i], true)
-		return cached, err
+		return s.runCell(cellCtx, job, i, cells[i], statuses[i].Key, true)
 	})
 	if err != nil {
 		var firstErr error = err
@@ -387,4 +386,21 @@ func (s *Server) executeSweep(ctx context.Context, job *Job) (State, string, boo
 		return StateFailed, err.Error(), false, firstErr
 	}
 	return StateDone, "", !slices.Contains(hits, false), nil
+}
+
+// cellTable expands a sweep spec into its cells, in input order, and a
+// cell table that puts every cell, keyed by its own spec, in state st.
+func cellTable(spec Spec, st State) ([]Spec, []CellStatus, error) {
+	cells, err := spec.Cells()
+	if err != nil {
+		return nil, nil, err
+	}
+	statuses := make([]CellStatus, len(cells))
+	for i, c := range cells {
+		statuses[i] = CellStatus{
+			Index: i, Workload: c.Workload, Strategy: c.Strategy,
+			Key: c.Key(), State: st,
+		}
+	}
+	return cells, statuses, nil
 }

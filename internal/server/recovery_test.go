@@ -567,6 +567,108 @@ func TestRecoverFailuresSurviveNextBoot(t *testing.T) {
 	}
 }
 
+// TestRecoveredDoneSweepKeepsCells: a done sweep has every cell stored,
+// so after a restart over its journal it is served with its whole cell
+// table, every cell done under the key the sweep computed it at. The
+// journal keeps no per-cell states, so a failed sweep comes back
+// without a cell table.
+func TestRecoveredDoneSweepKeepsCells(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, store.JournalName)
+	st, err := store.Open(filepath.Join(dir, "profiles"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// boot starts a daemon over the journal the way numad does, and
+	// stop drains it and closes the journal.
+	boot := func() (*Server, func()) {
+		t.Helper()
+		rec, err := store.RecoverJournal(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.CompactJournal(jpath, rec); err != nil {
+			t.Fatal(err)
+		}
+		jl, err := store.OpenJournal(jpath, rec.MaxSeq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Options{Store: st, Workers: 1, QueueDepth: 8, Journal: jl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Recover(rec); err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		return s, func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			if err := s.Shutdown(ctx); err != nil {
+				t.Error(err)
+			}
+			jl.Close()
+		}
+	}
+
+	first, stop := boot()
+	sweep := Spec{Workload: "blackscholes", Strategy: "baseline,interleave", Iters: 1}
+	job, err := first.Submit(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	want := job.Status()
+	if want.State != StateDone || len(want.Cells) != 2 {
+		t.Fatalf("sweep ended %s with %d cells, want done with 2", want.State, len(want.Cells))
+	}
+	failedSpec := Spec{Workload: "blackscholes", Strategy: "baseline,blockwise", Iters: 1}
+	n, err := failedSpec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.jl.Append(store.JournalRecord{
+		ID: "job-000002", State: "failed", Key: string(n.Key()), Spec: b, Err: "cell failed",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+
+	second, stop := boot()
+	defer stop()
+	got, ok := second.JobByID(want.ID)
+	if !ok {
+		t.Fatalf("done sweep %s lost across the restart", want.ID)
+	}
+	gst := got.Status()
+	if gst.State != StateDone || !gst.Recovered {
+		t.Fatalf("recovered sweep: %s, recovered %v; want done and recovered", gst.State, gst.Recovered)
+	}
+	if len(gst.Cells) != len(want.Cells) {
+		t.Fatalf("recovered sweep has %d cells, want %d", len(gst.Cells), len(want.Cells))
+	}
+	for i, c := range gst.Cells {
+		if c != want.Cells[i] {
+			t.Errorf("recovered cell %d = %+v, want %+v", i, c, want.Cells[i])
+		}
+		if !st.Has(c.Key) {
+			t.Errorf("recovered cell %d: key %s not stored", i, c.Key)
+		}
+	}
+	failed, ok := second.JobByID("job-000002")
+	if !ok {
+		t.Fatal("failed sweep lost across the restart")
+	}
+	if fst := failed.Status(); fst.State != StateFailed || fst.Cells != nil {
+		t.Fatalf("recovered failed sweep: %s with cells %+v; want failed without a cell table", fst.State, fst.Cells)
+	}
+}
+
 func TestSubmitRefusedWhenJournalBroken(t *testing.T) {
 	dir := t.TempDir()
 	jl, err := store.OpenJournal(filepath.Join(dir, store.JournalName), 0)

@@ -11,9 +11,15 @@
 //	                                        │ full → 429     (sched.MapWithCtx)
 //	                                        └ draining → 503      │
 //	            store.GetOrCompute(spec key) ─────────────────────┘
-//	              ├ LRU / disk hit → served without re-running
+//	              ├ LRU hit → served without re-running
+//	              ├ disk hit → file read once and hashed; decoded only
+//	              │            if no strict load has passed its bytes
 //	              └ miss → core.Analyze under the job's context,
 //	                       persisted via profio.SaveFile (atomic)
+//
+//	GET ?view=profile ── Store.File: the stored bytes, streamed
+//	GET ?view=text|html, diff, advise ── Store.Get: the LRU's profile,
+//	                                     else a strict decode of the file
 //
 // Concurrency contract: the worker pool is the only thing that runs
 // jobs; its width bounds simultaneous core.Analyze calls. Identical
@@ -511,7 +517,7 @@ func (s *Server) execute(ctx context.Context, job *Job, attempt int) (State, str
 	if job.spec.IsSweep() {
 		return s.executeSweep(ctx, job)
 	}
-	_, cached, err := s.resolve(ctx, job, job.spec, job.key, true)
+	cached, err := s.resolve(ctx, job, job.spec, job.key, true)
 	switch {
 	case err == nil:
 		return StateDone, "", cached, nil
@@ -529,14 +535,15 @@ func (s *Server) execute(ctx context.Context, job *Job, attempt int) (State, str
 // build and core.AnalyzeCtx through the scheduler, so a panicking
 // workload fails its own call without taking a worker down, and a
 // cancelled context refuses to start. The store persists the result
-// before resolve returns it: a profile that cannot be stored is an
-// error, and cached reports a store hit.
+// before resolve returns: a profile that cannot be stored is an error,
+// and cached reports a store hit. resolve decodes nothing it need not:
+// a caller that reads the profile gets it from Store.Get.
 //
 // live attaches the job's snapshot sink when SnapshotEvery is set; only
 // a single-spec job passes it. Only the first computation of a key
 // streams snapshots: a cache hit or dedup-waiting duplicate streams
 // lifecycle events only.
-func (s *Server) resolve(ctx context.Context, job *Job, spec Spec, key store.Key, live bool) (*core.Profile, bool, error) {
+func (s *Server) resolve(ctx context.Context, job *Job, spec Spec, key store.Key, live bool) (bool, error) {
 	return s.st.GetOrCompute(ctx, key, func() (*core.Profile, error) {
 		// The cell closure below escapes; copying the spec here keeps
 		// a store hit from moving it to the heap.
@@ -573,20 +580,20 @@ func (s *Server) resolve(ctx context.Context, job *Job, spec Spec, key store.Key
 }
 
 // runCell resolves cell i of a sweep or advise job. The cell turns
-// running, gets its profile through resolve, and ends failed or done; a
-// profile that came back cached counts as replayed, a computed one as
-// recomputed. track is false on the view path's recompute, which must
-// not touch a terminal job's cell table.
-func (s *Server) runCell(ctx context.Context, job *Job, i int, spec Spec, key store.Key, track bool) (*core.Profile, bool, error) {
+// running, gets its profile stored through resolve, and ends failed or
+// done; a profile that came back cached counts as replayed, a computed
+// one as recomputed. track is false on the view path's recompute, which
+// must not touch a terminal job's cell table.
+func (s *Server) runCell(ctx context.Context, job *Job, i int, spec Spec, key store.Key, track bool) (bool, error) {
 	if track {
 		job.setCell(i, StateRunning, "")
 	}
-	p, cached, err := s.resolve(ctx, job, spec, key, false)
+	cached, err := s.resolve(ctx, job, spec, key, false)
 	if err != nil {
 		if track {
 			job.setCell(i, StateFailed, err.Error())
 		}
-		return nil, false, err
+		return false, err
 	}
 	if cached {
 		s.m.cellsReplayed.Inc()
@@ -596,7 +603,7 @@ func (s *Server) runCell(ctx context.Context, job *Job, i int, spec Spec, key st
 	if track {
 		job.setCell(i, StateDone, "")
 	}
-	return p, cached, nil
+	return cached, nil
 }
 
 // cancelOutcome distinguishes an explicit cancel from a timeout.

@@ -11,6 +11,14 @@
 // key is present exactly when its bytes are whole: the store never
 // serves a torn profile, even across a daemon crash.
 //
+// GetOrCompute makes sure a key's profile is stored and reports whether
+// it already was; Get returns it decoded. A disk hit in GetOrCompute
+// reads the file once and hashes it: bytes whose SHA-256 already passed
+// a strict load under that key in this process are served without
+// decoding, and any other bytes are strictly decoded, so a hit is
+// reported exactly when a strict load of the file would succeed. Only
+// the callers that read a profile pay for decoding it.
+//
 // Concurrency contract: every method is safe for concurrent use.
 // GetOrCompute guarantees at most one compute per key at a time
 // (duplicates block and share the owner's result); a corrupt file found
@@ -19,6 +27,7 @@ package store
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -60,7 +69,8 @@ func (k Key) Valid() bool {
 // Stats are the store's monotonic counters, served by /metrics.
 type Stats struct {
 	// MemHits / DiskHits / Misses classify GetOrCompute outcomes:
-	// served from the LRU, decoded from disk, or computed fresh.
+	// served from the LRU, served from disk, or computed fresh. A disk
+	// hit decodes only bytes no strict load has passed in this process.
 	MemHits  uint64 `json:"mem_hits"`
 	DiskHits uint64 `json:"disk_hits"`
 	Misses   uint64 `json:"misses"`
@@ -81,7 +91,6 @@ func (s Stats) Hits() uint64 { return s.MemHits + s.DiskHits + s.DedupWaits }
 // call is one in-flight compute, shared by duplicate keys.
 type call struct {
 	done chan struct{}
-	p    *core.Profile
 	err  error
 }
 
@@ -102,6 +111,9 @@ type Store struct {
 	newest   *lruEntry
 	oldest   *lruEntry
 	inflight map[Key]*call
+	// digests holds, per key, the SHA-256 of the last bytes read from
+	// its file that passed a strict load in this process.
+	digests map[Key][sha256.Size]byte
 
 	memHits, diskHits, misses    atomic.Uint64
 	dedupWaits, saves, evictions atomic.Uint64
@@ -113,7 +125,8 @@ const DefaultCacheEntries = 128
 
 // Open creates (if needed) and opens a store directory. cacheEntries
 // bounds the decoded-profile LRU: 0 means DefaultCacheEntries, negative
-// disables the memory cache entirely (every hit decodes from disk).
+// disables the memory cache entirely: Get then decodes from disk every
+// time, and GetOrCompute still serves a disk hit by digest.
 func Open(dir string, cacheEntries int) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
@@ -129,6 +142,7 @@ func Open(dir string, cacheEntries int) (*Store, error) {
 		maxEntries: cacheEntries,
 		entries:    make(map[Key]*lruEntry),
 		inflight:   make(map[Key]*call),
+		digests:    make(map[Key][sha256.Size]byte),
 	}, nil
 }
 
@@ -164,9 +178,11 @@ func (s *Store) Has(k Key) bool {
 }
 
 // Get returns the decoded profile for a key — LRU first, then a strict
-// disk load — without touching the hit/miss counters (those account for
+// disk load that records the bytes' digest and admits the profile to
+// the LRU — without touching the hit/miss counters (those account for
 // job execution via GetOrCompute, not for views re-reading results).
-// Returns ErrNotFound when the key has no stored profile.
+// It is how a caller that reads the profile gets it. Returns
+// ErrNotFound when the key has no stored profile.
 func (s *Store) Get(k Key) (*core.Profile, error) {
 	if !k.Valid() {
 		return nil, ErrNotFound
@@ -174,7 +190,7 @@ func (s *Store) Get(k Key) (*core.Profile, error) {
 	if p := s.cacheGet(k); p != nil {
 		return p, nil
 	}
-	p, err := profio.LoadFile(s.Path(k))
+	p, err := s.load(k, true)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, ErrNotFound
@@ -235,17 +251,22 @@ func (s *Store) Put(k Key, p *core.Profile) error {
 	return nil
 }
 
-// GetOrCompute returns the profile for a key, computing and persisting
-// it if absent. At most one compute per key runs at a time: duplicate
-// calls block on the owner and share its result. cached reports whether
-// the profile was served without running compute in this call — from
-// memory, disk, or a deduped twin. A cancelled ctx abandons the wait
-// (the owner's compute keeps running and still persists for the next
-// caller); a waiter whose owner was cancelled retries rather than
-// inheriting the cancellation.
-func (s *Store) GetOrCompute(ctx context.Context, k Key, compute func() (*core.Profile, error)) (p *core.Profile, cached bool, err error) {
+// GetOrCompute makes sure a key's profile is stored, computing and
+// persisting it if absent, and reports whether it was already there.
+// It returns no profile: a caller that reads one calls Get. At most one
+// compute per key runs at a time: duplicate calls block on the owner
+// and share its outcome. cached reports whether the profile was served
+// without running compute in this call — from memory, disk, or a
+// deduped twin. A disk hit reads the file once: bytes whose digest
+// passed a strict load under k in this process are served without
+// decoding, and other bytes are strictly decoded and, if they pass,
+// admitted to the LRU. A cancelled ctx abandons the wait (the owner's
+// compute keeps running and still persists for the next caller); a
+// waiter whose owner was cancelled retries rather than inheriting the
+// cancellation.
+func (s *Store) GetOrCompute(ctx context.Context, k Key, compute func() (*core.Profile, error)) (cached bool, err error) {
 	if !k.Valid() {
-		return nil, false, fmt.Errorf("store: invalid key %q", k)
+		return false, fmt.Errorf("store: invalid key %q", k)
 	}
 	ctx, done := telemetry.Timed(ctx, "store.get_or_compute", telemetry.String("key", string(k)))
 	defer done()
@@ -255,7 +276,7 @@ func (s *Store) GetOrCompute(ctx context.Context, k Key, compute func() (*core.P
 			s.touch(e)
 			s.mu.Unlock()
 			s.memHits.Add(1)
-			return e.p, true, nil
+			return true, nil
 		}
 		if c, ok := s.inflight[k]; ok {
 			s.mu.Unlock()
@@ -268,16 +289,16 @@ func (s *Store) GetOrCompute(ctx context.Context, k Key, compute func() (*core.P
 			case <-c.done:
 			case <-ctx.Done():
 				s.dedupWaits.Add(^uint64(0))
-				return nil, false, ctx.Err()
+				return false, ctx.Err()
 			}
 			if c.err != nil {
 				s.dedupWaits.Add(^uint64(0))
 				if errors.Is(c.err, context.Canceled) && ctx.Err() == nil {
 					continue // the owner was cancelled, not us: retry
 				}
-				return nil, false, c.err
+				return false, c.err
 			}
-			return c.p, true, nil
+			return true, nil
 		}
 		c := &call{done: make(chan struct{})}
 		s.inflight[k] = c
@@ -285,11 +306,13 @@ func (s *Store) GetOrCompute(ctx context.Context, k Key, compute func() (*core.P
 
 		// The owner cleans up via defer so a panicking compute can never
 		// leak the in-flight entry (which would wedge every later call
-		// for this key behind a channel nobody will close). Waiters on a
-		// call that died without a result get an error, not a nil hit.
+		// for this key behind a channel nobody will close). An owner
+		// that did not record its finish died mid-call, so its waiters
+		// get an error, not a hit.
 		func() {
+			finished := false
 			defer func() {
-				if c.p == nil && c.err == nil {
+				if !finished {
 					c.err = fmt.Errorf("store: compute for %s aborted", k)
 				}
 				s.mu.Lock()
@@ -297,20 +320,22 @@ func (s *Store) GetOrCompute(ctx context.Context, k Key, compute func() (*core.P
 				s.mu.Unlock()
 				close(c.done)
 			}()
-			p, cached, err = s.fill(ctx, k, compute)
-			c.p, c.err = p, err
+			cached, err = s.fill(ctx, k, compute)
+			c.err, finished = err, true
 		}()
-		return p, cached, err
+		return cached, err
 	}
 }
 
 // fill is the owner path of GetOrCompute: disk, then compute+persist.
-func (s *Store) fill(ctx context.Context, k Key, compute func() (*core.Profile, error)) (*core.Profile, bool, error) {
-	switch p, err := profio.LoadFile(s.Path(k)); {
+func (s *Store) fill(ctx context.Context, k Key, compute func() (*core.Profile, error)) (bool, error) {
+	switch p, err := s.load(k, false); {
 	case err == nil:
 		s.diskHits.Add(1)
-		s.cachePut(k, p)
-		return p, true, nil
+		if p != nil {
+			s.cachePut(k, p)
+		}
+		return true, nil
 	case !os.IsNotExist(err):
 		// A file is there but strict-load fails: profio's atomic writes
 		// make this external damage (bit rot, a hand-edited file), so
@@ -324,12 +349,41 @@ func (s *Store) fill(ctx context.Context, k Key, compute func() (*core.Profile, 
 	p, err := compute()
 	computeDone()
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
 	if err := s.Put(k, p); err != nil {
-		return nil, false, err
+		return false, err
 	}
-	return p, false, nil
+	return false, nil
+}
+
+// load reads k's file once, through profio.WithFileBytes, and hashes
+// its bytes. If decode is false and the digest is the one recorded for
+// k, the bytes have passed a strict load before and load returns a nil
+// profile without decoding. Otherwise it strictly decodes the same
+// bytes and, on success, records their digest. A missing file is an
+// os.IsNotExist error.
+func (s *Store) load(k Key, decode bool) (p *core.Profile, err error) {
+	err = profio.WithFileBytes(s.Path(k), func(data []byte) error {
+		sum := sha256.Sum256(data)
+		if !decode {
+			s.mu.Lock()
+			known, ok := s.digests[k]
+			s.mu.Unlock()
+			if ok && known == sum {
+				return nil
+			}
+		}
+		var err error
+		if p, err = profio.LoadBytes(data); err != nil {
+			return err
+		}
+		s.mu.Lock()
+		s.digests[k] = sum
+		s.mu.Unlock()
+		return nil
+	})
+	return p, err
 }
 
 // Keys lists every stored key, sorted, from a directory scan.

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/profio"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/workloads"
 )
@@ -26,6 +28,17 @@ import (
 // testProfile runs a real (tiny) profiling job: the store must hold
 // exactly what the daemon will put in it.
 func testProfile(t testing.TB, iters int) *core.Profile {
+	return analyze(t, workloads.NewBlackscholes(workloads.Params{Iters: iters}))
+}
+
+// luleshProfile runs one LULESH iteration, whose file (about 80 KB) is
+// large enough that a call's fixed cost, about 1 KB, does not hide a
+// copy of it.
+func luleshProfile(t testing.TB) *core.Profile {
+	return analyze(t, workloads.NewLULESH(workloads.Params{Iters: 1}))
+}
+
+func analyze(t testing.TB, app core.App) *core.Profile {
 	t.Helper()
 	m := topology.IvyBridge8()
 	cfg := core.Config{
@@ -35,7 +48,7 @@ func testProfile(t testing.TB, iters int) *core.Profile {
 		CacheConfig: workloads.TunedCacheConfig(),
 		MemParams:   workloads.MemParamsFor(m),
 	}
-	p, err := core.Analyze(cfg, workloads.NewBlackscholes(workloads.Params{Iters: iters}))
+	p, err := core.Analyze(cfg, app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +166,12 @@ func TestGetOrComputeTiers(t *testing.T) {
 	}
 
 	// First call: miss, computes and persists.
-	_, cached, err := s.GetOrCompute(context.Background(), k, compute)
+	cached, err := s.GetOrCompute(context.Background(), k, compute)
 	if err != nil || cached {
 		t.Fatalf("first call: cached=%v err=%v", cached, err)
 	}
 	// Second call: memory hit.
-	_, cached, err = s.GetOrCompute(context.Background(), k, compute)
+	cached, err = s.GetOrCompute(context.Background(), k, compute)
 	if err != nil || !cached {
 		t.Fatalf("second call: cached=%v err=%v", cached, err)
 	}
@@ -167,7 +180,7 @@ func TestGetOrComputeTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cached, err = s2.GetOrCompute(context.Background(), k, compute)
+	cached, err = s2.GetOrCompute(context.Background(), k, compute)
 	if err != nil || !cached {
 		t.Fatalf("fresh-store call: cached=%v err=%v", cached, err)
 	}
@@ -189,7 +202,7 @@ func TestGetOrComputeFailureStoresNothing(t *testing.T) {
 	}
 	k := testKey("failing")
 	boom := errors.New("compute failed")
-	_, _, err = s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
+	_, err = s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
 		return nil, boom
 	})
 	if !errors.Is(err, boom) {
@@ -199,7 +212,7 @@ func TestGetOrComputeFailureStoresNothing(t *testing.T) {
 		t.Fatal("failed compute left a profile in the store")
 	}
 	computes := 0
-	_, cached, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
+	cached, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
 		computes++
 		return testProfile(t, 1), nil
 	})
@@ -234,7 +247,7 @@ func TestGetOrComputeDedupsInflight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, _, err := s.GetOrCompute(context.Background(), k, owner); err != nil {
+		if _, err := s.GetOrCompute(context.Background(), k, owner); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -247,7 +260,7 @@ func TestGetOrComputeDedupsInflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, cached, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
+			cached, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
 				t.Error("duplicate ran compute")
 				return nil, errors.New("unreachable")
 			})
@@ -288,7 +301,7 @@ func TestGetOrComputeCancelWhileComputing(t *testing.T) {
 	release := make(chan struct{})
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, _, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
+		_, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
 			close(started)
 			<-release
 			return testProfile(t, 1), nil
@@ -300,7 +313,7 @@ func TestGetOrComputeCancelWhileComputing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, cached, err := s.GetOrCompute(ctx, k, func() (*core.Profile, error) {
+		cached, err := s.GetOrCompute(ctx, k, func() (*core.Profile, error) {
 			t.Error("canceled waiter ran compute")
 			return nil, errors.New("unreachable")
 		})
@@ -321,7 +334,7 @@ func TestGetOrComputeCancelWhileComputing(t *testing.T) {
 	if err := <-ownerDone; err != nil {
 		t.Fatal(err)
 	}
-	_, cached, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
+	cached, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
 		t.Error("post-owner call recomputed")
 		return nil, errors.New("unreachable")
 	})
@@ -343,7 +356,7 @@ func TestGetOrComputeWaiterRetriesAfterOwnerCancel(t *testing.T) {
 	release := make(chan struct{})
 	go func() {
 		// The owner's run dies mid-compute with its context's error.
-		_, _, _ = s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
+		_, _ = s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
 			close(started)
 			<-release
 			return nil, context.Canceled
@@ -353,7 +366,7 @@ func TestGetOrComputeWaiterRetriesAfterOwnerCancel(t *testing.T) {
 	var recomputed atomic.Bool
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, cached, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
+		cached, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
 			recomputed.Store(true)
 			return testProfile(t, 1), nil
 		})
@@ -386,7 +399,7 @@ func TestGetOrComputePanicCleansInflight(t *testing.T) {
 	release := make(chan struct{})
 	go func() {
 		defer func() { recover() }() // the panic propagates to the caller
-		_, _, _ = s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
+		_, _ = s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
 			close(started)
 			<-release
 			panic("compute blew up")
@@ -396,7 +409,7 @@ func TestGetOrComputePanicCleansInflight(t *testing.T) {
 	waiterDone := make(chan error, 1)
 	var waiterComputed atomic.Bool
 	go func() {
-		_, _, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
+		_, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
 			waiterComputed.Store(true)
 			return testProfile(t, 1), nil
 		})
@@ -424,7 +437,7 @@ func TestGetOrComputePanicCleansInflight(t *testing.T) {
 	if leaked != 0 {
 		t.Fatalf("%d in-flight entries leaked after panic", leaked)
 	}
-	if _, _, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
+	if _, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
 		return testProfile(t, 1), nil
 	}); err != nil {
 		t.Fatalf("key wedged after panicked compute: %v", err)
@@ -461,7 +474,7 @@ func TestCorruptFileRecomputedOver(t *testing.T) {
 	if err := os.WriteFile(s.Path(k), []byte("#numaprof-measurement-v2\ngarbage\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, cached, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
+	cached, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
 		return testProfile(t, 1), nil
 	})
 	if err != nil || cached {
@@ -472,6 +485,137 @@ func TestCorruptFileRecomputedOver(t *testing.T) {
 	}
 	if _, err := s.Get(k); err != nil {
 		t.Fatalf("recomputed file not loadable: %v", err)
+	}
+}
+
+// decodes counts strict profio decodes in this process.
+func decodes() uint64 { return telemetry.Default.Counter("profio_loads_total").Value() }
+
+// verifiedStore opens a store with no memory cache over a fresh
+// directory and stores p under k, then makes one disk hit, the strict
+// load that records the file's digest.
+func verifiedStore(t *testing.T, k Key, p *core.Profile) *Store {
+	t.Helper()
+	s, err := Open(t.TempDir(), -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(k, p); err != nil {
+		t.Fatal(err)
+	}
+	before := decodes()
+	if cached, err := s.GetOrCompute(context.Background(), k, nil); err != nil || !cached {
+		t.Fatalf("first disk hit: cached=%v err=%v", cached, err)
+	}
+	if n := decodes() - before; n != 1 {
+		t.Fatalf("first disk hit decoded %d times, want 1", n)
+	}
+	return s
+}
+
+// noCompute fails the test if a call that should hit runs compute.
+func noCompute(t *testing.T) func() (*core.Profile, error) {
+	return func() (*core.Profile, error) {
+		t.Error("a disk hit ran compute")
+		return nil, errors.New("unreachable")
+	}
+}
+
+// Once a strict load has recorded a file's digest, a disk hit on the
+// same bytes decodes nothing: it reads and hashes the file into a
+// pooled buffer, so the typical hit allocates a small fraction of the
+// file. The median hit is measured because the race detector makes
+// sync.Pool drop a quarter of the buffers it is given.
+func TestDiskHitVerifiesWithoutDecoding(t *testing.T) {
+	k := testKey("verified")
+	s := verifiedStore(t, k, luleshProfile(t))
+	raw, err := s.Bytes(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hits = 63
+	allocs := make([]uint64, hits)
+	before := decodes()
+	var m0, m1 runtime.MemStats
+	for i := range allocs {
+		runtime.ReadMemStats(&m0)
+		cached, err := s.GetOrCompute(context.Background(), k, noCompute(t))
+		runtime.ReadMemStats(&m1)
+		if err != nil || !cached {
+			t.Fatalf("hit %d: cached=%v err=%v", i, cached, err)
+		}
+		allocs[i] = m1.TotalAlloc - m0.TotalAlloc
+	}
+	if n := decodes() - before; n != 0 {
+		t.Fatalf("%d verified disk hits decoded %d times, want 0", hits, n)
+	}
+	if st := s.Stats(); st.DiskHits != hits+1 || st.Misses != 0 || st.CorruptDropped != 0 {
+		t.Fatalf("stats = %+v, want %d disk hits and nothing else", st, hits+1)
+	}
+	slices.Sort(allocs)
+	median := allocs[hits/2]
+	if limit := uint64(len(raw) / 4); median > limit {
+		t.Fatalf("a verified disk hit on a %d-byte file allocated %d bytes in the median, want under %d", len(raw), median, limit)
+	}
+	t.Logf("a verified disk hit on a %d-byte file allocated %d bytes in the median", len(raw), median)
+}
+
+// A file whose bytes changed after its digest was recorded is loaded
+// strictly again: one flipped byte fails that load, and the call drops
+// the file and recomputes.
+func TestDiskHitFlippedByteRecomputes(t *testing.T) {
+	k := testKey("flipped")
+	s := verifiedStore(t, k, testProfile(t, 1))
+	raw, err := s.Bytes(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x01
+	if err := os.WriteFile(s.Path(k), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	computes := 0
+	cached, err := s.GetOrCompute(context.Background(), k, func() (*core.Profile, error) {
+		computes++
+		return testProfile(t, 1), nil
+	})
+	if err != nil || cached || computes != 1 {
+		t.Fatalf("cached=%v err=%v computes=%d, want one fresh compute over the flipped file", cached, err, computes)
+	}
+	if st := s.Stats(); st.CorruptDropped != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 corrupt drop and 1 miss", st)
+	}
+}
+
+// Another spec's valid bytes under a key are not the bytes whose digest
+// was recorded: the call loads them strictly, serves them as a hit and
+// records their digest, so the next hit decodes nothing.
+func TestDiskHitOtherValidBytesDecoded(t *testing.T) {
+	k := testKey("replaced")
+	s := verifiedStore(t, k, testProfile(t, 1))
+	other := profileBytes(t, testProfile(t, 2))
+	if err := os.WriteFile(s.Path(k), other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []uint64{1, 0} {
+		before := decodes()
+		cached, err := s.GetOrCompute(context.Background(), k, noCompute(t))
+		if err != nil || !cached {
+			t.Fatalf("call %d: cached=%v err=%v", i, cached, err)
+		}
+		if n := decodes() - before; n != want {
+			t.Fatalf("call %d decoded %d times, want %d", i, n, want)
+		}
+	}
+	if st := s.Stats(); st.CorruptDropped != 0 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want no corrupt drop and no miss", st)
+	}
+	p, err := s.Get(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(profileBytes(t, p), other) {
+		t.Fatal("the served profile is not the replacement file's")
 	}
 }
 
@@ -523,7 +667,7 @@ func TestInvalidKeyRejected(t *testing.T) {
 	if err := s.Put("../../escape", testProfile(t, 1)); err == nil {
 		t.Fatal("Put accepted a traversal key")
 	}
-	if _, _, err := s.GetOrCompute(context.Background(), "zz", nil); err == nil {
+	if _, err := s.GetOrCompute(context.Background(), "zz", nil); err == nil {
 		t.Fatal("GetOrCompute accepted an invalid key")
 	}
 	if _, err := s.Bytes("zz"); !errors.Is(err, ErrNotFound) {
