@@ -37,6 +37,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
+	"repro/internal/view"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -578,23 +579,7 @@ func BenchmarkServiceHit(b *testing.B) {
 // digest, so a timed hit reads and hashes the file and decodes nothing.
 // MB/s counts file bytes.
 func BenchmarkStoreDiskHit(b *testing.B) {
-	spec := server.Spec{Workload: "lulesh"}
-	cfg, app, err := spec.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := core.Analyze(cfg, app)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := store.Open(b.TempDir(), -1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	key := spec.Key()
-	if err := st.Put(key, p); err != nil {
-		b.Fatal(err)
-	}
+	st, key := luleshStore(b)
 	raw, err := st.Bytes(key)
 	if err != nil {
 		b.Fatal(err)
@@ -613,6 +598,59 @@ func BenchmarkStoreDiskHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hit()
 	}
+}
+
+// BenchmarkStoreViewHit measures numad's view files: one LULESH profile
+// is stored, set-up renders and writes its text view once, and one op
+// is one store.View of that view, which must be a hit: the view file is
+// read into a pooled buffer, its digest checked, and its bytes written
+// to io.Discard. MB/s counts view bytes.
+func BenchmarkStoreViewHit(b *testing.B) {
+	st, key := luleshStore(b)
+	renders := 0
+	render := func(p *core.Profile, topVars int) (string, error) {
+		if renders++; renders > 1 {
+			return "", fmt.Errorf("view hit on %s rendered", key)
+		}
+		return view.Text(p, topVars), nil
+	}
+	n := 0
+	use := func(body []byte) { n, _ = io.Discard.Write(body) }
+	hit := func() {
+		if err := st.View(key, "text", 5, render, use); err != nil {
+			b.Fatal(err)
+		}
+	}
+	hit()
+	b.SetBytes(int64(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hit()
+	}
+}
+
+// luleshStore stores the default LULESH spec's profile under its key in
+// a fresh store with no memory cache.
+func luleshStore(b *testing.B) (*store.Store, store.Key) {
+	spec := server.Spec{Workload: "lulesh"}
+	cfg, app, err := spec.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := core.Analyze(cfg, app)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := store.Open(b.TempDir(), -1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := spec.Key()
+	if err := st.Put(key, p); err != nil {
+		b.Fatal(err)
+	}
+	return st, key
 }
 
 type benchApp struct {

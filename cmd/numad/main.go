@@ -76,7 +76,7 @@ func main() {
 	flag.StringVar(&cfg.dir, "dir", "numad-data", "profile store directory")
 	flag.IntVar(&cfg.workers, "workers", sched.Workers(), "worker pool size (concurrent profiling jobs)")
 	flag.IntVar(&cfg.queueDepth, "queue", server.DefaultQueueDepth, "job queue bound; a full queue returns 429")
-	flag.IntVar(&cfg.cacheEntries, "cache", store.DefaultCacheEntries, "decoded-profile LRU entries (negative: disable)")
+	flag.IntVar(&cfg.cacheEntries, "cache", store.DefaultCacheEntries, "memory-tier LRU entries: keys stored or verified on disk, each with its decoded profile once read (negative: disable)")
 	flag.DurationVar(&cfg.jobTimeout, "job-timeout", 0, "per-job deadline from submission (0: none); also arms deadline-aware load shedding")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for the backlog before cancelling it")
 	flag.IntVar(&cfg.top, "top", 5, "variables the text/HTML views detail")

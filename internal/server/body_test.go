@@ -4,16 +4,22 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/diff"
+	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/view"
 )
 
@@ -55,6 +61,16 @@ func TestViewBodiesCarryContentLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	other, err := c.Submit(ctx, fastSpec("interleave"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustDone(t, c, other.ID)
+	po, err := s.st.Get(other.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := diff.Compare(p, po, st.ID, other.ID, diff.Options{}).Render()
 	ref := refProfileBytes(t, spec)
 	cases := []struct {
 		path string
@@ -64,6 +80,7 @@ func TestViewBodiesCarryContentLength(t *testing.T) {
 		{"/api/v1/profiles/" + string(st.Key), ref},
 		{"/api/v1/jobs/" + st.ID + "?view=text", []byte(view.Text(p, s.topVars))},
 		{"/api/v1/jobs/" + st.ID + "?view=html", []byte(page)},
+		{"/api/v1/diff?a=" + st.ID + "&b=" + other.ID + "&view=text", []byte(report)},
 	}
 	for _, tc := range cases {
 		resp, body := get(t, c.BaseURL+tc.path)
@@ -73,6 +90,70 @@ func TestViewBodiesCarryContentLength(t *testing.T) {
 		if !bytes.Equal(body, tc.want) {
 			t.Errorf("%s: body differs from the reference (%d vs %d bytes)", tc.path, len(body), len(tc.want))
 		}
+	}
+	// net/http sizes a body under its 2 KB pre-chunking buffer itself,
+	// and the diff report here is that small, so check what the
+	// handler sets, through a recorder, which adds no header.
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.path, nil))
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+			t.Errorf("%s: the handler set Content-Length %q for a %d-byte body", tc.path, cl, rec.Body.Len())
+		}
+	}
+}
+
+// A second fetch of the text or HTML view serves the view file the
+// first one wrote: it decodes nothing, renders nothing and returns the
+// first fetch's bytes. The store keeps no profile in memory, so a
+// render would decode. The profile listing shows profiles only.
+func TestRepeatViewFetchesServeTheViewFile(t *testing.T) {
+	st0, err := store.Open(t.TempDir(), -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, c := newTestServer(t, func(o *Options) { o.Store = st0 })
+	job, err := c.Submit(context.Background(), fastSpec("baseline"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustDone(t, c, job.ID)
+	decodes := telemetry.Default.Counter("profio_loads_total").Value
+	for _, kind := range []string{"text", "html"} {
+		path := c.BaseURL + "/api/v1/jobs/" + job.ID + "?view=" + kind
+		_, first := get(t, path)
+		before, renders := decodes(), s.st.Stats().ViewRenders
+		_, second := get(t, path)
+		if n := decodes() - before; n != 0 {
+			t.Errorf("second %s fetch decoded %d times, want 0", kind, n)
+		}
+		if n := s.st.Stats().ViewRenders - renders; n != 0 {
+			t.Errorf("second %s fetch rendered %d times, want 0", kind, n)
+		}
+		if !bytes.Equal(second, first) {
+			t.Errorf("second %s fetch differs from the first", kind)
+		}
+	}
+	if st := s.st.Stats(); st.ViewRenders != 2 || st.ViewHits != 2 {
+		t.Fatalf("store stats = %+v, want 2 view renders and 2 view hits", st)
+	}
+	views, err := filepath.Glob(filepath.Join(st0.Dir(), "*"+store.ViewExt))
+	if err != nil || len(views) != 2 {
+		t.Fatalf("view files %v (err %v), want 2", views, err)
+	}
+	_, body := get(t, c.BaseURL+"/api/v1/profiles")
+	var list struct {
+		Count int         `json:"count"`
+		Keys  []store.Key `json:"keys"`
+	}
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	if list.Count != 1 || len(list.Keys) != 1 || list.Keys[0] != job.Key {
+		t.Fatalf("profile listing %s, want the one key %s", body, job.Key)
+	}
+	if _, err := os.Stat(st0.Path(job.Key)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/advisor"
+	"repro/internal/core"
 	"repro/internal/diff"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -150,8 +151,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "advice: %v", err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
+		sized(w, "application/json", len(blob))
 		w.Write(blob)
 	case "text", "html", "profile":
 		st := job.Status()
@@ -190,14 +190,31 @@ func (s *Server) serveAdviceText(ctx context.Context, w http.ResponseWriter, job
 		return
 	}
 	body := rep.Render()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	sized(w, textPlain, len(body))
 	io.WriteString(w, body)
 }
 
-// serveProfileView renders a stored profile as text, HTML, or raw
-// measurement bytes. Every body goes out with its Content-Length, so a
-// client can read it into one buffer of that size.
+// textPlain is the content type of every plain-text view.
+const textPlain = "text/plain; charset=utf-8"
+
+// sized sets a body's content type and its Content-Length, so a client
+// can read it into one buffer of that size; the handler then writes
+// the body in one call.
+func sized(w http.ResponseWriter, ctype string, n int) {
+	w.Header().Set("Content-Type", ctype)
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+}
+
+// textView is view.Text in the shape store.View renders with.
+func textView(p *core.Profile, topVars int) (string, error) {
+	return view.Text(p, topVars), nil
+}
+
+// serveProfileView serves a stored profile as text, HTML, or raw
+// measurement bytes: the profile streams from its file, and text and
+// HTML come from their verified view files through store.View, which
+// renders a view only when its file does not verify. Every body goes
+// out with its Content-Length.
 func (s *Server) serveProfileView(ctx context.Context, w http.ResponseWriter, k store.Key, kind string) {
 	_, done := telemetry.Timed(ctx, "pipeline.render_view", telemetry.String("kind", kind))
 	defer done()
@@ -208,8 +225,7 @@ func (s *Server) serveProfileView(ctx context.Context, w http.ResponseWriter, k 
 			return
 		}
 		defer f.Close()
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+		sized(w, "application/octet-stream", int(size))
 		// The LimitReader hides *os.File's WriteTo, whose generic
 		// fallback copies through a fresh 32 KiB buffer; io.Copy then
 		// hands the reader to the response's ReadFrom, which passes a
@@ -219,25 +235,20 @@ func (s *Server) serveProfileView(ctx context.Context, w http.ResponseWriter, k 
 		io.Copy(w, io.LimitReader(f, size))
 		return
 	}
-	p, err := s.st.Get(k)
-	if err != nil {
+	render, ctype := textView, textPlain
+	if kind == "html" {
+		render, ctype = view.HTML, "text/html; charset=utf-8"
+	}
+	err := s.st.View(k, kind, s.topVars, render, func(body []byte) {
+		sized(w, ctype, len(body))
+		w.Write(body)
+	})
+	switch {
+	case errors.Is(err, store.ErrNotFound):
 		writeError(w, http.StatusNotFound, "profile %s: %v", k, err)
-		return
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "%s view of %s: %v", kind, k, err)
 	}
-	var body string
-	switch kind {
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		body = view.Text(p, s.topVars)
-	case "html":
-		if body, err = view.HTML(p, s.topVars); err != nil {
-			writeError(w, http.StatusInternalServerError, "render: %v", err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	io.WriteString(w, body)
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
@@ -317,8 +328,9 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	res := diff.Compare(pa, pb, a, b, diff.Options{})
 	switch v := q.Get("view"); v {
 	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, res.Render())
+		body := res.Render()
+		sized(w, textPlain, len(body))
+		io.WriteString(w, body)
 	case "", "json":
 		writeJSON(w, http.StatusOK, res)
 	default:

@@ -111,6 +111,8 @@ func (m *metrics) mirrorStore(st store.Stats) {
 	m.reg.Counter("store_saves_total").Set(st.Saves)
 	m.reg.Counter("store_evictions_total").Set(st.Evictions)
 	m.reg.Counter("store_corrupt_dropped_total").Set(st.CorruptDropped)
+	m.reg.Counter("store_view_hits_total").Set(st.ViewHits)
+	m.reg.Counter("store_view_renders_total").Set(st.ViewRenders)
 }
 
 // snapshot is what GET /metrics serves: telemetry.Default merged with

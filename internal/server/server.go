@@ -13,13 +13,17 @@
 //	            store.GetOrCompute(spec key) ─────────────────────┘
 //	              ├ LRU hit → served without re-running
 //	              ├ disk hit → file read once and hashed; decoded only
-//	              │            if no strict load has passed its bytes
+//	              │            if no strict load has passed its bytes;
+//	              │            the key enters the LRU either way
 //	              └ miss → core.Analyze under the job's context,
 //	                       persisted via profio.SaveFile (atomic)
 //
 //	GET ?view=profile ── Store.File: the stored bytes, streamed
-//	GET ?view=text|html, diff, advise ── Store.Get: the LRU's profile,
-//	                                     else a strict decode of the file
+//	GET ?view=text|html ── Store.View: the view file beside the profile,
+//	                       served if its digest verifies, else rendered
+//	                       from Store.Get and written for the next read
+//	GET diff, advise ── Store.Get: the LRU's profile, else a strict
+//	                    decode of the file
 //
 // Concurrency contract: the worker pool is the only thing that runs
 // jobs; its width bounds simultaneous core.Analyze calls. Identical

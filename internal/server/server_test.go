@@ -787,11 +787,13 @@ func TestConcurrentMixedSubmissions(t *testing.T) {
 	// submission is served as a hit of some flavor.
 	st := s.Store().Stats()
 	for name, want := range map[string]uint64{
-		"store_mem_hits_total":    st.MemHits,
-		"store_disk_hits_total":   st.DiskHits,
-		"store_misses_total":      st.Misses,
-		"store_dedup_waits_total": st.DedupWaits,
-		"store_saves_total":       st.Saves,
+		"store_mem_hits_total":     st.MemHits,
+		"store_disk_hits_total":    st.DiskHits,
+		"store_misses_total":       st.Misses,
+		"store_dedup_waits_total":  st.DedupWaits,
+		"store_saves_total":        st.Saves,
+		"store_view_hits_total":    st.ViewHits,
+		"store_view_renders_total": st.ViewRenders,
 	} {
 		if got := must(t, m.Counters, name); got != want {
 			t.Errorf("instrument %s = %d, want %d (mirror of store stats)", name, got, want)

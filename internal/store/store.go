@@ -1,7 +1,7 @@
 // Package store is the profile store behind the numad daemon: a
-// content-addressed directory of .numaprof measurement files fronted by
-// an in-memory LRU of decoded profiles and a single-flight table that
-// dedups identical in-flight computations.
+// content-addressed directory of .numaprof measurement files and the
+// views rendered from them, fronted by an in-memory LRU of keys and a
+// single-flight table that dedups identical in-flight computations.
 //
 // Keys are the SHA-256 of the canonical job spec (internal/server
 // computes them), so two submissions of the same spec address the same
@@ -15,9 +15,17 @@
 // it already was; Get returns it decoded. A disk hit in GetOrCompute
 // reads the file once and hashes it: bytes whose SHA-256 already passed
 // a strict load under that key in this process are served without
-// decoding, and any other bytes are strictly decoded, so a hit is
-// reported exactly when a strict load of the file would succeed. Only
-// the callers that read a profile pay for decoding it.
+// decoding and admit the key to the LRU alone, and any other bytes are
+// strictly decoded, so a hit is reported exactly when a strict load of
+// the file would succeed. An LRU entry holds a decoded profile only
+// once something has read it: only the callers that read a profile pay
+// for decoding it.
+//
+// View serves a rendered view (the text or HTML report) from a file
+// beside the profile, rendered once per key and view per process: a
+// read is served only if its bytes hash to the digest this process
+// recorded when it wrote the file, and any other read renders the view
+// again and rewrites the file.
 //
 // Concurrency contract: every method is safe for concurrent use.
 // GetOrCompute guarantees at most one compute per key at a time
@@ -33,6 +41,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,6 +53,10 @@ import (
 
 // Ext is the measurement-file extension the store manages.
 const Ext = ".numaprof"
+
+// ViewExt is the extension of a rendered view file. A view file never
+// ends in Ext, so Keys does not list it.
+const ViewExt = ".view"
 
 // ErrNotFound reports a key with no stored profile.
 var ErrNotFound = errors.New("store: profile not found")
@@ -83,6 +96,10 @@ type Stats struct {
 	// CorruptDropped counts on-disk files that failed a strict load
 	// and were recomputed over.
 	CorruptDropped uint64 `json:"corrupt_dropped"`
+	// ViewHits counts views served from a verified view file;
+	// ViewRenders counts views rendered because no such file was there.
+	ViewHits    uint64 `json:"view_hits"`
+	ViewRenders uint64 `json:"view_renders"`
 }
 
 // Hits is the total served without a fresh compute.
@@ -94,7 +111,9 @@ type call struct {
 	err  error
 }
 
-// lruEntry is one decoded profile in the memory cache.
+// lruEntry is one key in the memory cache: a key stored or verified on
+// disk in this process, with its decoded profile once a reader has
+// loaded it (p is nil until then).
 type lruEntry struct {
 	key          Key
 	p            *core.Profile
@@ -114,19 +133,39 @@ type Store struct {
 	// digests holds, per key, the SHA-256 of the last bytes read from
 	// its file that passed a strict load in this process.
 	digests map[Key][sha256.Size]byte
+	// views holds, per key, the digests of the view files this process
+	// wrote. Forgetting a key's views deletes its set, so a render of a
+	// profile taken before the forget finds another set and records
+	// nothing.
+	views map[Key]*viewSet
 
 	memHits, diskHits, misses    atomic.Uint64
 	dedupWaits, saves, evictions atomic.Uint64
 	corruptDropped               atomic.Uint64
+	viewHits, viewRenders        atomic.Uint64
+}
+
+// viewSet is one key's view-file digests, by view.
+type viewSet struct {
+	sums map[viewID][sha256.Size]byte
+}
+
+// viewID names one view of a key: its kind and the topVars it was
+// rendered with.
+type viewID struct {
+	kind    string
+	topVars int
 }
 
 // DefaultCacheEntries is the LRU capacity when Open is given 0.
 const DefaultCacheEntries = 128
 
 // Open creates (if needed) and opens a store directory. cacheEntries
-// bounds the decoded-profile LRU: 0 means DefaultCacheEntries, negative
-// disables the memory cache entirely: Get then decodes from disk every
-// time, and GetOrCompute still serves a disk hit by digest.
+// bounds the LRU of keys stored or verified in this process, each with
+// its decoded profile once something has read it: 0 means
+// DefaultCacheEntries, negative disables the memory cache entirely: Get
+// then decodes from disk every time, and GetOrCompute still serves a
+// disk hit by digest.
 func Open(dir string, cacheEntries int) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
@@ -143,6 +182,7 @@ func Open(dir string, cacheEntries int) (*Store, error) {
 		entries:    make(map[Key]*lruEntry),
 		inflight:   make(map[Key]*call),
 		digests:    make(map[Key][sha256.Size]byte),
+		views:      make(map[Key]*viewSet),
 	}, nil
 }
 
@@ -162,6 +202,8 @@ func (s *Store) Stats() Stats {
 		Saves:          s.saves.Load(),
 		Evictions:      s.evictions.Load(),
 		CorruptDropped: s.corruptDropped.Load(),
+		ViewHits:       s.viewHits.Load(),
+		ViewRenders:    s.viewRenders.Load(),
 	}
 }
 
@@ -177,28 +219,39 @@ func (s *Store) Has(k Key) bool {
 	return err == nil
 }
 
-// Get returns the decoded profile for a key — LRU first, then a strict
-// disk load that records the bytes' digest and admits the profile to
-// the LRU — without touching the hit/miss counters (those account for
-// job execution via GetOrCompute, not for views re-reading results).
-// It is how a caller that reads the profile gets it. Returns
-// ErrNotFound when the key has no stored profile.
+// Get returns the decoded profile for a key — the LRU's profile first,
+// then a strict disk load that records the bytes' digest and admits
+// the profile to the LRU, filling a key-only entry — without touching
+// the hit/miss counters (those account for job execution via
+// GetOrCompute, not for views re-reading results). It is how a caller
+// that reads the profile gets it. Returns ErrNotFound when the key has
+// no stored profile.
 func (s *Store) Get(k Key) (*core.Profile, error) {
+	p, _, err := s.get(k)
+	return p, err
+}
+
+// get is Get that also returns k's view set as it stood when the
+// profile was taken, under the same lock: a forget after that replaces
+// the set, so a view rendered from the profile is recorded only while
+// the set still belongs to it.
+func (s *Store) get(k Key) (*core.Profile, *viewSet, error) {
 	if !k.Valid() {
-		return nil, ErrNotFound
+		return nil, nil, ErrNotFound
 	}
-	if p := s.cacheGet(k); p != nil {
-		return p, nil
+	s.mu.Lock()
+	if e, ok := s.entries[k]; ok && e.p != nil {
+		s.touch(e)
+		p, vs := e.p, s.viewSetOf(k)
+		s.mu.Unlock()
+		return p, vs, nil
 	}
-	p, err := s.load(k, true)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, ErrNotFound
-		}
-		return nil, err
+	s.mu.Unlock()
+	p, vs, err := s.load(k, true)
+	if os.IsNotExist(err) {
+		return nil, nil, ErrNotFound
 	}
-	s.cachePut(k, p)
-	return p, nil
+	return p, vs, err
 }
 
 // Bytes returns the raw measurement-file bytes for a key — what a
@@ -237,8 +290,8 @@ func (s *Store) File(k Key) (*os.File, int64, error) {
 	return f, fi.Size(), nil
 }
 
-// Put persists a profile under a key (atomic temp+rename) and admits it
-// to the memory cache.
+// Put persists a profile under a key (atomic temp+rename), admits it
+// to the memory cache and forgets the key's views.
 func (s *Store) Put(k Key, p *core.Profile) error {
 	if !k.Valid() {
 		return fmt.Errorf("store: invalid key %q", k)
@@ -247,7 +300,10 @@ func (s *Store) Put(k Key, p *core.Profile) error {
 		return err
 	}
 	s.saves.Add(1)
+	s.mu.Lock()
 	s.cachePut(k, p)
+	delete(s.views, k)
+	s.mu.Unlock()
 	return nil
 }
 
@@ -259,11 +315,11 @@ func (s *Store) Put(k Key, p *core.Profile) error {
 // without running compute in this call — from memory, disk, or a
 // deduped twin. A disk hit reads the file once: bytes whose digest
 // passed a strict load under k in this process are served without
-// decoding, and other bytes are strictly decoded and, if they pass,
-// admitted to the LRU. A cancelled ctx abandons the wait (the owner's
-// compute keeps running and still persists for the next caller); a
-// waiter whose owner was cancelled retries rather than inheriting the
-// cancellation.
+// decoding and admit k to the LRU without a profile, and other bytes
+// are strictly decoded and, if they pass, admitted with their profile.
+// A cancelled ctx abandons the wait (the owner's compute keeps running
+// and still persists for the next caller); a waiter whose owner was
+// cancelled retries rather than inheriting the cancellation.
 func (s *Store) GetOrCompute(ctx context.Context, k Key, compute func() (*core.Profile, error)) (cached bool, err error) {
 	if !k.Valid() {
 		return false, fmt.Errorf("store: invalid key %q", k)
@@ -329,18 +385,18 @@ func (s *Store) GetOrCompute(ctx context.Context, k Key, compute func() (*core.P
 
 // fill is the owner path of GetOrCompute: disk, then compute+persist.
 func (s *Store) fill(ctx context.Context, k Key, compute func() (*core.Profile, error)) (bool, error) {
-	switch p, err := s.load(k, false); {
+	switch _, _, err := s.load(k, false); {
 	case err == nil:
 		s.diskHits.Add(1)
-		if p != nil {
-			s.cachePut(k, p)
-		}
 		return true, nil
 	case !os.IsNotExist(err):
 		// A file is there but strict-load fails: profio's atomic writes
 		// make this external damage (bit rot, a hand-edited file), so
 		// recompute over it rather than serving or failing on it.
 		s.corruptDropped.Add(1)
+		s.mu.Lock()
+		delete(s.views, k)
+		s.mu.Unlock()
 		telemetry.Logger("store").Warn("dropping corrupt profile, recomputing",
 			"key", string(k), "path", s.Path(k), "err", err.Error())
 	}
@@ -359,18 +415,24 @@ func (s *Store) fill(ctx context.Context, k Key, compute func() (*core.Profile, 
 
 // load reads k's file once, through profio.WithFileBytes, and hashes
 // its bytes. If decode is false and the digest is the one recorded for
-// k, the bytes have passed a strict load before and load returns a nil
-// profile without decoding. Otherwise it strictly decodes the same
-// bytes and, on success, records their digest. A missing file is an
-// os.IsNotExist error.
-func (s *Store) load(k Key, decode bool) (p *core.Profile, err error) {
+// k, the bytes have passed a strict load before: load admits k to the
+// LRU without a profile and returns a nil profile without decoding.
+// Otherwise it strictly decodes the same bytes and, on success, records
+// their digest, admits the profile and returns it with k's view set. A
+// digest other than the one recorded forgets k's views first, under
+// the same lock. A missing file is an os.IsNotExist error.
+func (s *Store) load(k Key, decode bool) (p *core.Profile, vs *viewSet, err error) {
 	err = profio.WithFileBytes(s.Path(k), func(data []byte) error {
 		sum := sha256.Sum256(data)
 		if !decode {
 			s.mu.Lock()
 			known, ok := s.digests[k]
+			verified := ok && known == sum
+			if verified {
+				s.cachePut(k, nil)
+			}
 			s.mu.Unlock()
-			if ok && known == sum {
+			if verified {
 				return nil
 			}
 		}
@@ -379,11 +441,122 @@ func (s *Store) load(k Key, decode bool) (p *core.Profile, err error) {
 			return err
 		}
 		s.mu.Lock()
-		s.digests[k] = sum
+		if known, ok := s.digests[k]; !ok || known != sum {
+			s.digests[k] = sum
+			delete(s.views, k)
+		}
+		s.cachePut(k, p)
+		vs = s.viewSetOf(k)
 		s.mu.Unlock()
 		return nil
 	})
-	return p, err
+	return p, vs, err
+}
+
+// View serves the view kind of k's profile, rendered with topVars, from
+// a file beside the profile, <key>.<kind>-<topVars>.view. It reads
+// the file into a pooled buffer and passes its bytes to use only if
+// their SHA-256 is the digest this process recorded when it wrote the
+// file. Anything else — no file, a digest this process never recorded
+// (a fresh process), or bytes that changed — is a miss: View renders
+// render(p, topVars) from Get's profile, writes the file by temp +
+// rename, records its digest and passes the rendered bytes to use, so
+// unverified bytes are never served. A file that cannot be written is
+// logged and the rendered bytes are still served. Two concurrent misses
+// may both render; the renders are identical and the rename is atomic.
+// use must keep no reference into body. kind is lower-case letters.
+func (s *Store) View(k Key, kind string, topVars int, render func(*core.Profile, int) (string, error), use func(body []byte)) error {
+	if !k.Valid() {
+		return ErrNotFound
+	}
+	if !validKind(kind) {
+		return fmt.Errorf("store: invalid view kind %q", kind)
+	}
+	id, path := viewID{kind, topVars}, s.viewPath(k, kind, topVars)
+	served := false
+	// A read that fails (no file, most often) is a miss like any other.
+	profio.WithFileBytes(path, func(data []byte) error {
+		sum := sha256.Sum256(data)
+		s.mu.Lock()
+		if vs := s.views[k]; vs != nil {
+			known, ok := vs.sums[id]
+			served = ok && known == sum
+		}
+		s.mu.Unlock()
+		if served {
+			s.viewHits.Add(1)
+			use(data)
+		}
+		return nil
+	})
+	if served {
+		return nil
+	}
+	p, vs, err := s.get(k)
+	if err != nil {
+		return err
+	}
+	text, err := render(p, topVars)
+	if err != nil {
+		return err
+	}
+	s.viewRenders.Add(1)
+	body := []byte(text)
+	if err := writeView(path, body); err != nil {
+		telemetry.Logger("store").Warn("view file not written, serving the rendered view",
+			"key", string(k), "path", path, "err", err.Error())
+	} else {
+		sum := sha256.Sum256(body)
+		s.mu.Lock()
+		if s.views[k] == vs {
+			if vs.sums == nil {
+				vs.sums = make(map[viewID][sha256.Size]byte)
+			}
+			vs.sums[id] = sum
+		}
+		s.mu.Unlock()
+	}
+	use(body)
+	return nil
+}
+
+// viewPath names the file of one view of k: <key>.<kind>-<topVars>.view.
+func (s *Store) viewPath(k Key, kind string, topVars int) string {
+	return filepath.Join(s.dir, string(k)+"."+kind+"-"+strconv.Itoa(topVars)+ViewExt)
+}
+
+// validKind reports whether a view kind is non-empty lower-case
+// letters, which keeps it from naming a path outside the store.
+func validKind(kind string) bool {
+	for _, c := range kind {
+		if c < 'a' || c > 'z' {
+			return false
+		}
+	}
+	return kind != ""
+}
+
+// writeView writes a view file by temp + rename, without a sync: a
+// view file is verified on every read, and a fresh process renders it
+// again before it serves it.
+func writeView(path string, body []byte) (err error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}()
+	if _, err = tmp.Write(body); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err = tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }
 
 // Keys lists every stored key, sorted, from a directory scan.
@@ -418,27 +591,28 @@ func (s *Store) Flush() error {
 	return d.Sync()
 }
 
-// cacheGet returns the cached decoded profile, bumping recency.
-func (s *Store) cacheGet(k Key) *core.Profile {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[k]
-	if !ok {
-		return nil
+// viewSetOf returns k's view set, making an empty one if k has none.
+// Callers hold mu.
+func (s *Store) viewSetOf(k Key) *viewSet {
+	vs := s.views[k]
+	if vs == nil {
+		vs = new(viewSet)
+		s.views[k] = vs
 	}
-	s.touch(e)
-	return e.p
+	return vs
 }
 
-// cachePut admits a profile, evicting the oldest entry past capacity.
+// cachePut admits k, evicting the oldest entry past capacity. A nil p
+// admits the key alone and keeps any profile its entry already holds.
+// Callers hold mu.
 func (s *Store) cachePut(k Key, p *core.Profile) {
 	if s.maxEntries < 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if e, ok := s.entries[k]; ok {
-		e.p = p
+		if p != nil {
+			e.p = p
+		}
 		s.touch(e)
 		return
 	}

@@ -619,6 +619,68 @@ func TestDiskHitOtherValidBytesDecoded(t *testing.T) {
 	}
 }
 
+// A verified disk hit admits its key to the LRU without a profile: the
+// next GetOrCompute is a memory hit that opens no file, and a Get on
+// the key-only entry decodes once, then serves from memory.
+func TestVerifiedDiskHitAdmitsKeyOnly(t *testing.T) {
+	s, err := Open(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, other := testKey("key-only"), testKey("other")
+	for _, key := range []Key{k, other} {
+		if err := s.Put(key, testProfile(t, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := s.Bytes(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The one-entry LRU holds other. k's first disk hit decodes and
+	// records its digest, other's disk hit evicts k, and k's second
+	// disk hit is verified by digest.
+	ctx := context.Background()
+	before := decodes()
+	for _, key := range []Key{k, other, k} {
+		if cached, err := s.GetOrCompute(ctx, key, noCompute(t)); err != nil || !cached {
+			t.Fatalf("disk hit: cached=%v err=%v", cached, err)
+		}
+	}
+	if n := decodes() - before; n != 2 {
+		t.Fatalf("three disk hits decoded %d times, want 2", n)
+	}
+	// With the file gone, only a hit that opens no file can succeed.
+	if err := os.Remove(s.Path(k)); err != nil {
+		t.Fatal(err)
+	}
+	if cached, err := s.GetOrCompute(ctx, k, noCompute(t)); err != nil || !cached {
+		t.Fatalf("hit after a verified disk hit: cached=%v err=%v", cached, err)
+	}
+	if st := s.Stats(); st.MemHits != 1 || st.DiskHits != 3 {
+		t.Fatalf("stats = %+v, want 1 memory hit and 3 disk hits", st)
+	}
+	if err := os.WriteFile(s.Path(k), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var first *core.Profile
+	for i, want := range []uint64{1, 0} {
+		before := decodes()
+		p, err := s.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := decodes() - before; n != want {
+			t.Fatalf("Get %d decoded %d times, want %d", i, n, want)
+		}
+		if first == nil {
+			first = p
+		} else if p != first {
+			t.Fatal("the second Get did not serve the profile the first one decoded")
+		}
+	}
+}
+
 func TestKeysListing(t *testing.T) {
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {
@@ -642,6 +704,14 @@ func TestKeysListing(t *testing.T) {
 	}
 	os.WriteFile(filepath.Join(s.Dir(), "checkpoints", string(testKey("k9"))+Ext), []byte("x"), 0o644)
 	os.WriteFile(filepath.Join(s.Dir(), "autotune.json"), []byte(`{"workloads":{}}`), 0o644)
+	// A view file, written the way views are, sits beside its profile.
+	text := func(*core.Profile, int) (string, error) { return "view", nil }
+	if err := s.View(want[0], "text", 5, text, func([]byte) {}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(s.viewPath(want[0], "text", 5)); err != nil {
+		t.Fatal(err)
+	}
 	keys, err := s.Keys()
 	if err != nil {
 		t.Fatal(err)
@@ -675,5 +745,14 @@ func TestInvalidKeyRejected(t *testing.T) {
 	}
 	if _, _, err := s.File("../../escape"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("File on invalid key: %v, want ErrNotFound", err)
+	}
+	text := func(*core.Profile, int) (string, error) { return "view", nil }
+	if err := s.View("../../escape", "text", 5, text, func([]byte) {}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("View on invalid key: %v, want ErrNotFound", err)
+	}
+	for _, kind := range []string{"", "../text", "Text", "te/xt"} {
+		if err := s.View(testKey("k"), kind, 5, text, func([]byte) {}); err == nil {
+			t.Fatalf("View accepted the kind %q", kind)
+		}
 	}
 }
