@@ -357,7 +357,7 @@ func BenchmarkVMTouch(b *testing.B) {
 	r := as.Alloc(1<<30, vm.FirstTouch{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		as.Touch(r.Base+uint64(i%(1<<20))*64, false, 0)
+		as.TouchRegion(r.Base+uint64(i%(1<<20))*64, false, 0)
 	}
 }
 

@@ -22,19 +22,20 @@
 // Ids: T1 T2 (tables), F1 F2 F3 F45 F89 F10 (figures), S1-S4 (the
 // Section 8 speedups: LULESH, AMG2006, Blackscholes, UMT2013),
 // A1-A4 (design-choice ablations: sampling period, binning,
-// contention model, scheduling), RB (the robustness scorecard:
-// graceful degradation under injected sampler and file faults), RC
-// (the recovery scorecard: crash recovery, sweep replay,
-// transparent retries, circuit breaking), SC (the reproduction
-// scorecard), and OPT (the optimizer scorecard: the closed-loop
-// advisor autonomously recovering the Section 8 fixes).
+// contention model, scheduling), SC (the reproduction scorecard), and
+// OPT (the optimizer scorecard: the closed-loop advisor autonomously
+// recovering the Section 8 fixes). An unknown id exits 2 with the list
+// of known ids; SC and OPT print their card and exit 1 when a claim
+// fails.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -162,40 +163,33 @@ func artifacts() []artifact {
 			}
 			return r.Render(), nil
 		}},
-		{"RB", "Robustness scorecard: graceful degradation under injected faults", func(iters int) (string, error) {
-			r, err := experiments.RunRobustness(iters)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"RC", "Recovery scorecard: durability under crashes, retries, breaker", func(iters int) (string, error) {
-			r, err := experiments.RunRecovery(iters)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
 		{"SC", "Reproduction scorecard: every paper-shape claim, checked", func(iters int) (string, error) {
 			r, err := experiments.RunScorecard(iters)
 			if err != nil {
 				return "", err
 			}
-			return r.Render(), nil
+			return r.Render(), claimsHold("reproduction", r)
 		}},
 		{"OPT", "Optimizer scorecard: autonomous recovery of the case-study fixes", func(iters int) (string, error) {
 			r, err := experiments.RunOptimizer(iters)
 			if err != nil {
 				return "", err
 			}
-			out := r.Render()
-			if !r.Scorecard.AllPass() {
-				return out, fmt.Errorf("optimizer scorecard: %d/%d claims failed",
-					len(r.Scorecard.Claims)-r.Scorecard.Passed(), len(r.Scorecard.Claims))
-			}
-			return out, nil
+			return r.Render(), claimsHold("optimizer", r.Scorecard)
 		}},
 	}
+}
+
+// errClaims marks a scorecard whose run completed with failing claims:
+// numabench still prints the card, then exits 1.
+var errClaims = errors.New("claims failed")
+
+// claimsHold is SC's and OPT's verdict: nil when every claim holds.
+func claimsHold(name string, s *experiments.Scorecard) error {
+	if s.AllPass() {
+		return nil
+	}
+	return fmt.Errorf("%s scorecard: %d/%d %w", name, len(s.Claims)-s.Passed(), len(s.Claims), errClaims)
 }
 
 func main() {
@@ -212,11 +206,22 @@ func main() {
 	flag.Parse()
 	sched.SetWorkers(*parallel)
 
+	all := artifacts()
+	ids := make([]string, len(all))
+	for i, a := range all {
+		ids[i] = a.id
+	}
 	want := map[string]bool{}
-	if *runList != "" {
-		for _, id := range strings.Split(*runList, ",") {
-			want[strings.TrimSpace(strings.ToUpper(id))] = true
+	for _, id := range strings.Split(*runList, ",") {
+		id = strings.TrimSpace(strings.ToUpper(id))
+		if id == "" {
+			continue
 		}
+		if !slices.Contains(ids, id) {
+			fmt.Fprintf(os.Stderr, "numabench: unknown artifact id %q (known: %s)\n", id, strings.Join(ids, " "))
+			os.Exit(2)
+		}
+		want[id] = true
 	}
 
 	// exit finalizes telemetry (when -telemetry armed it) before leaving:
@@ -255,7 +260,7 @@ func main() {
 	}
 
 	var selected []artifact
-	for _, a := range artifacts() {
+	for _, a := range all {
 		if len(want) > 0 && !want[a.id] {
 			continue
 		}
@@ -270,6 +275,7 @@ func main() {
 	type outcome struct {
 		out     string
 		elapsed time.Duration
+		claims  error // failing claims; the card is still printed
 	}
 	streaming := sched.Workers() <= 1
 	results, runErr := sched.MapCtx(ctx, len(selected), func(ctx context.Context, i int) (outcome, error) {
@@ -281,7 +287,7 @@ func main() {
 		_, done := telemetry.Timed(ctx, "numabench.artifact", telemetry.String("id", a.id))
 		defer done()
 		out, err := a.run(*iters)
-		if err != nil {
+		if err != nil && !errors.Is(err, errClaims) {
 			return outcome{}, fmt.Errorf("%s failed: %w", a.id, err)
 		}
 		elapsed := time.Since(start).Round(time.Millisecond)
@@ -289,7 +295,7 @@ func main() {
 			fmt.Print(out)
 			fmt.Printf("(%s in %v)\n\n", a.id, elapsed)
 		}
-		return outcome{out: out, elapsed: elapsed}, nil
+		return outcome{out: out, elapsed: elapsed, claims: err}, nil
 	})
 
 	failed := false
@@ -314,6 +320,10 @@ func main() {
 			fmt.Printf("=== %s — %s ===\n", a.id, a.title)
 			fmt.Print(r.out)
 			fmt.Printf("(%s in %v)\n\n", a.id, r.elapsed)
+		}
+		if r.claims != nil {
+			fmt.Fprintln(os.Stderr, r.claims)
+			failed = true
 		}
 		if *mdOut != "" {
 			fmt.Fprintf(&md, "## %s — %s\n\n```\n%s```\n\n_(completed in %v)_\n\n",

@@ -62,15 +62,6 @@ func (p *Pattern) Threads() []ThreadRange {
 	return out
 }
 
-// ThreadRange returns thread t's summary.
-func (p *Pattern) ThreadRange(t int) (ThreadRange, bool) {
-	tr, ok := p.perThread[t]
-	if !ok {
-		return ThreadRange{}, false
-	}
-	return *tr, true
-}
-
 // Normalized returns thread t's accessed range normalised to [0,1]
 // over the variable's extent.
 func (p *Pattern) Normalized(t int) (lo, hi float64, ok bool) {
@@ -185,9 +176,6 @@ func (t *Tracker) EnterRegion(name string) { t.scope = name }
 // LeaveRegion restores whole-program scope.
 func (t *Tracker) LeaveRegion() { t.scope = WholeProgram }
 
-// Scope returns the current region scope.
-func (t *Tracker) Scope() string { return t.scope }
-
 // Record notes a sampled access by thread to addr within v, updating
 // the whole-variable pattern and — for binned variables — the touched
 // bin's own pattern (each bin is a synthetic variable with its own
@@ -293,15 +281,9 @@ func (t *Tracker) Scopes(v *datacentric.Variable) []string {
 	return out
 }
 
-// Restore installs a fully formed pattern, for profile
-// deserialisation. Existing data for the same (variable, scope) is
-// replaced.
-func (t *Tracker) Restore(v *datacentric.Variable, scope string, trs []ThreadRange) {
-	t.RestoreBin(v, WholeVariable, scope, trs)
-}
-
-// RestoreBin installs a fully formed bin pattern (bin may be
-// WholeVariable), for profile deserialisation.
+// RestoreBin installs a fully formed pattern for one bin (bin may be
+// WholeVariable), for profile deserialisation. Existing data for the
+// same (variable, bin, scope) is replaced.
 func (t *Tracker) RestoreBin(v *datacentric.Variable, bin int, scope string, trs []ThreadRange) {
 	p := &Pattern{Var: v, Scope: scope, Bin: bin, perThread: make(map[int]*ThreadRange, len(trs))}
 	for _, tr := range trs {

@@ -27,14 +27,14 @@ func TestRecordAndPattern(t *testing.T) {
 	if !ok {
 		t.Fatal("whole-program pattern missing")
 	}
-	r0, ok := p.ThreadRange(0)
+	r0, ok := p.perThread[0]
 	if !ok || r0.Range.Min != 1100 || r0.Range.Max != 1300 || r0.Count != 2 || r0.Latency != 120 {
 		t.Fatalf("thread 0 = %+v", r0)
 	}
 	if p.TotalCount() != 3 || p.TotalLatency() != 320 {
 		t.Fatalf("totals = %d, %v", p.TotalCount(), p.TotalLatency())
 	}
-	if _, ok := p.ThreadRange(9); ok {
+	if _, ok := p.perThread[9]; ok {
 		t.Fatal("absent thread should have no range")
 	}
 }
@@ -69,7 +69,7 @@ func TestRegionScoping(t *testing.T) {
 	tr.LeaveRegion()
 
 	whole, _ := tr.Pattern(v, WholeProgram)
-	r0, _ := whole.ThreadRange(0)
+	r0, _ := whole.perThread[0]
 	if r0.Range.Min != 0x10000 || r0.Range.Max != 0x10000+7000 {
 		t.Fatalf("whole-program thread 0 range = %+v", r0.Range)
 	}
@@ -78,11 +78,11 @@ func TestRegionScoping(t *testing.T) {
 	if !ok {
 		t.Fatal("region pattern missing")
 	}
-	rr0, _ := relax.ThreadRange(0)
+	rr0, _ := relax.perThread[0]
 	if rr0.Range.Max != 0x10000 {
 		t.Fatalf("region thread 0 range = %+v (should exclude other region)", rr0.Range)
 	}
-	if _, ok := relax.ThreadRange(1); !ok {
+	if _, ok := relax.perThread[1]; !ok {
 		t.Fatal("region should track thread 1")
 	}
 }
@@ -165,11 +165,11 @@ func TestMerge(t *testing.T) {
 	b.Record(v, 1, 900, 30)
 	a.Merge(b)
 	p, _ := a.Pattern(v, WholeProgram)
-	r0, _ := p.ThreadRange(0)
+	r0, _ := p.perThread[0]
 	if r0.Range.Min != 100 || r0.Range.Max != 500 || r0.Count != 2 || r0.Latency != 30 {
 		t.Fatalf("merged thread 0 = %+v", r0)
 	}
-	if _, ok := p.ThreadRange(1); !ok {
+	if _, ok := p.perThread[1]; !ok {
 		t.Fatal("merge should import thread 1")
 	}
 }

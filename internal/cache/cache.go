@@ -56,9 +56,6 @@ func (s DataSource) String() string {
 	}
 }
 
-// IsDRAM reports whether the access went to memory (local or remote).
-func (s DataSource) IsDRAM() bool { return s == SrcLocalDRAM || s == SrcRemoteDRAM }
-
 // IsRemote reports whether the access crossed a domain boundary: a
 // remote cache hit or remote DRAM access. These are the accesses whose
 // latency accumulates into l_NUMA in the paper's Equation 1.
@@ -198,9 +195,6 @@ func NewHierarchy(topo *topology.Machine, cfg Config) *Hierarchy {
 	}
 	return h
 }
-
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
 
 // Access simulates one access by the given CPU to addr, where the page
 // containing addr is homed in homeDomain. It returns the data source

@@ -18,22 +18,19 @@ func testMachine() *topology.Machine {
 func TestDataSourceClassification(t *testing.T) {
 	cases := []struct {
 		s             DataSource
-		remote, dram  bool
+		remote        bool
 		beyondLocalL3 bool
 	}{
-		{SrcL1, false, false, false},
-		{SrcL2, false, false, false},
-		{SrcL3, false, false, false},
-		{SrcRemoteCache, true, false, true},
-		{SrcLocalDRAM, false, true, true},
-		{SrcRemoteDRAM, true, true, true},
+		{SrcL1, false, false},
+		{SrcL2, false, false},
+		{SrcL3, false, false},
+		{SrcRemoteCache, true, true},
+		{SrcLocalDRAM, false, true},
+		{SrcRemoteDRAM, true, true},
 	}
 	for _, c := range cases {
 		if c.s.IsRemote() != c.remote {
 			t.Errorf("%v.IsRemote() = %v", c.s, c.s.IsRemote())
-		}
-		if c.s.IsDRAM() != c.dram {
-			t.Errorf("%v.IsDRAM() = %v", c.s, c.s.IsDRAM())
 		}
 		if c.s.BeyondLocalL3() != c.beyondLocalL3 {
 			t.Errorf("%v.BeyondLocalL3() = %v", c.s, c.s.BeyondLocalL3())

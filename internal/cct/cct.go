@@ -298,9 +298,6 @@ func (t *Tree) allocFloats(n int) []float64 {
 // Root returns the root node.
 func (t *Tree) Root() *Node { return t.root }
 
-// Parent returns the node's parent (nil for the root).
-func (n *Node) Parent() *Node { return n.parent }
-
 // findChild locates the child with the given key: map index when the
 // node has one, sibling-list scan otherwise.
 func (n *Node) findChild(k Key) (*Node, bool) {
@@ -391,19 +388,6 @@ func (n *Node) InsertPath(keys []Key) *Node {
 		cur = cur.Child(k)
 	}
 	return cur
-}
-
-// FindPath walks keys from n without creating nodes.
-func (n *Node) FindPath(keys []Key) (*Node, bool) {
-	cur := n
-	for _, k := range keys {
-		c, ok := cur.FindChild(k)
-		if !ok {
-			return nil, false
-		}
-		cur = c
-	}
-	return cur, true
 }
 
 // AddMetric accumulates delta into the metric column. Negative ids
@@ -575,14 +559,6 @@ func (n *Node) AppendRangeOwners(dst []int) []int {
 	sub := dst[start:]
 	sort.Ints(sub)
 	return dst
-}
-
-// RangeOwners returns the owners with ranges on this node, sorted.
-func (n *Node) RangeOwners() []int {
-	if !n.hasRange {
-		return []int{}
-	}
-	return n.AppendRangeOwners(make([]int, 0, n.numRanges()))
 }
 
 // Visit walks the subtree rooted at n in deterministic preorder.

@@ -16,7 +16,7 @@ func TestChildGetOrCreate(t *testing.T) {
 	if a != b {
 		t.Fatal("Child should return the same node for the same key")
 	}
-	if a.Parent() != tr.Root() {
+	if a.parent != tr.Root() {
 		t.Fatal("parent link broken")
 	}
 	if _, ok := tr.Root().FindChild(FrameKey(2, 10)); ok {
@@ -33,15 +33,11 @@ func TestInsertAndFindPath(t *testing.T) {
 		VariableKey("z"),
 	}
 	leaf := tr.Root().InsertPath(path)
-	found, ok := tr.Root().FindPath(path)
-	if !ok || found != leaf {
-		t.Fatal("FindPath should locate the inserted leaf")
+	if again := tr.Root().InsertPath(path); again != leaf || tr.Root().Size() != 1+len(path) {
+		t.Fatal("InsertPath of an inserted path should find its leaf, creating nothing")
 	}
 	if got := leaf.Path(); !reflect.DeepEqual(got, path) {
 		t.Fatalf("Path() = %+v, want %+v", got, path)
-	}
-	if _, ok := tr.Root().FindPath([]Key{FrameKey(9, 9)}); ok {
-		t.Fatal("FindPath of absent path should fail")
 	}
 }
 
@@ -75,7 +71,7 @@ func TestRanges(t *testing.T) {
 	if !ok || r.Min != 50 || r.Max != 200 {
 		t.Fatalf("Range(3) = %+v, %v", r, ok)
 	}
-	if owners := n.RangeOwners(); !reflect.DeepEqual(owners, []int{3, 7}) {
+	if owners := n.AppendRangeOwners(nil); !reflect.DeepEqual(owners, []int{3, 7}) {
 		t.Fatalf("owners = %v", owners)
 	}
 	if _, ok := n.Range(99); ok {
@@ -122,7 +118,7 @@ func TestMergeSumsMetricsAndUnionsRanges(t *testing.T) {
 	n2.ExtendRange(1, 999)
 
 	MergeTrees(t1, t2)
-	merged, _ := t1.Root().FindPath(path)
+	merged := t1.Root().InsertPath(path)
 	if got := merged.Metric(metrics.Match); got != 12 {
 		t.Errorf("merged Match = %v, want 12", got)
 	}
@@ -143,8 +139,7 @@ func TestMergeCreatesMissingSubtrees(t *testing.T) {
 	t1, t2 := New(), New()
 	t2.Root().InsertPath([]Key{FrameKey(5, 1), SiteKey(9)}).AddMetric(metrics.Samples, 3)
 	MergeTrees(t1, t2)
-	n, ok := t1.Root().FindPath([]Key{FrameKey(5, 1), SiteKey(9)})
-	if !ok || n.Metric(metrics.Samples) != 3 {
+	if t1.Root().Size() != 3 || t1.Root().InsertPath([]Key{FrameKey(5, 1), SiteKey(9)}).Metric(metrics.Samples) != 3 {
 		t.Fatal("merge should create missing subtree with metrics")
 	}
 	// src unchanged
@@ -197,17 +192,22 @@ func TestQuickMergeAdditive(t *testing.T) {
 		dst := New()
 		MergeTrees(dst, src)
 		MergeTrees(dst, src)
-		ok := true
-		src.Root().Visit(func(n *Node) {
-			d, found := dst.Root().FindPath(n.Path())
-			if n.Key.Kind == KindRoot {
-				d, found = dst.Root(), true
+		// dst has src's nodes in the same key order, each at twice
+		// src's samples.
+		var doubled func(s, d *Node) bool
+		doubled = func(s, d *Node) bool {
+			sc, dc := s.Children(), d.Children()
+			if d.Metric(metrics.Samples) != 2*s.Metric(metrics.Samples) || len(sc) != len(dc) {
+				return false
 			}
-			if !found || d.Metric(metrics.Samples) != 2*n.Metric(metrics.Samples) {
-				ok = false
+			for i := range sc {
+				if sc[i].Key != dc[i].Key || !doubled(sc[i], dc[i]) {
+					return false
+				}
 			}
-		})
-		return ok
+			return true
+		}
+		return doubled(src.Root(), dst.Root())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -363,8 +363,8 @@ func FuzzMergeShards(f *testing.F) {
 				case 4:
 					cur = cur.Child(BinKey(string(rune('a'+next()%3)), int(next()%5)))
 				default: // pop toward the root
-					if cur.Parent() != nil {
-						cur = cur.Parent()
+					if cur.parent != nil {
+						cur = cur.parent
 					}
 				}
 			}

@@ -148,14 +148,6 @@ func TestChaosThreadLoss(t *testing.T) {
 		t.Fatalf("merge must keep at least one survivor: lost %d of %d",
 			len(h.ThreadsLost), h.ThreadsTotal)
 	}
-	cov := h.ThreadCoverage()
-	if cov <= 0 || cov >= 1 {
-		t.Errorf("coverage %v, want strictly between 0 and 1", cov)
-	}
-	// Survivors and lost partition the thread ids.
-	if got := len(h.SurvivingThreads()) + len(h.ThreadsLost); got != h.ThreadsTotal {
-		t.Errorf("survivors + lost = %d, want %d", got, h.ThreadsTotal)
-	}
 	if prof.Totals.Samples == 0 {
 		t.Fatal("the salvaged merge must still hold samples")
 	}

@@ -320,8 +320,8 @@ func TestDataCentricTreeHasAllocPathAndBins(t *testing.T) {
 		t.Fatalf("bin children = %d, want 5", bins)
 	}
 	// Per-thread [min,max] ranges recorded for the address-centric view.
-	if len(varNode.RangeOwners()) < 4 {
-		t.Fatalf("range owners = %v, want most threads", varNode.RangeOwners())
+	if len(varNode.AppendRangeOwners(nil)) < 4 {
+		t.Fatalf("range owners = %v, want most threads", varNode.AppendRangeOwners(nil))
 	}
 }
 

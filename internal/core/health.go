@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/units"
@@ -104,31 +103,6 @@ func (h *Health) Degraded() bool {
 // fired is either delivered or attributed to a specific loss cause.
 func (h *Health) Accounted() bool {
 	return h.SamplesFired == h.SamplesDelivered+h.SamplesDropped+h.LostToStall+h.LostToFailure
-}
-
-// ThreadCoverage returns the fraction of per-thread profiles that
-// survived to the merge (1 when nothing was lost).
-func (h *Health) ThreadCoverage() float64 {
-	if h.ThreadsTotal == 0 {
-		return 1
-	}
-	return float64(h.ThreadsTotal-len(h.ThreadsLost)) / float64(h.ThreadsTotal)
-}
-
-// SurvivingThreads lists the thread ids whose profiles made the merge.
-func (h *Health) SurvivingThreads() []int {
-	lost := make(map[int]bool, len(h.ThreadsLost))
-	for _, t := range h.ThreadsLost {
-		lost[t] = true
-	}
-	var out []int
-	for t := 0; t < h.ThreadsTotal; t++ {
-		if !lost[t] {
-			out = append(out, t)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Summary renders the health block as a short multi-line report; the

@@ -92,13 +92,6 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 			}
 			return r.Render(), nil
 		}},
-		{"Robustness", true, func() (string, error) {
-			r, err := RunRobustness(0)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -167,38 +160,58 @@ func TestProfioBytesDeterministicAcrossWorkers(t *testing.T) {
 // TestChaosBytesDeterministicAcrossWorkers extends the byte contract
 // to fault injection: a seeded chaos plan belongs to its cell, so the
 // injected fault sequence — and therefore the degraded measurement
-// file — must not depend on how many sibling cells run beside it.
+// file — must not depend on how many sibling cells run beside it. One
+// plan per fault class: drops, drops with a hard sampler failure at
+// 95% of the fault-free sample count, stalls, corrupted samples, and
+// lost per-thread profiles.
 func TestChaosBytesDeterministicAcrossWorkers(t *testing.T) {
 	cfg := BaseConfig(topology.MagnyCours48(), 0, proc.Compact)
 	cfg.Mechanism = "IBS"
-	analyze := func() ([]byte, error) {
-		chaosCfg := cfg
-		chaosCfg.Faults = &faults.Plan{Seed: 42, DropRate: 0.2, CorruptRate: 0.02}
-		prof, err := core.Analyze(chaosCfg, workloads.NewLULESH(workloads.Params{Iters: 2}))
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := profio.Save(&buf, prof); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	}
-	ref, err := analyze()
+	lulesh := func() core.App { return workloads.NewLULESH(workloads.Params{Iters: 2}) }
+	base, err := core.Analyze(cfg, lulesh())
 	if err != nil {
 		t.Fatal(err)
+	}
+	plans := []faults.Plan{
+		{Seed: 42, DropRate: 0.20},
+		{Seed: 42, DropRate: 0.20, FailAfter: uint64(0.95 * base.Totals.Samples)},
+		{Seed: 7, StallAfter: 400},
+		{Seed: 11, CorruptRate: 0.05, SkidRate: 0.05, GarbleRate: 0.02},
+		{Seed: 3, ThreadLossRate: 0.5},
 	}
 	cells := 4
 	if raceEnabled {
 		cells = 2
 	}
-	outs, err := sched.MapWith(cells, cells, func(int) ([]byte, error) { return analyze() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, out := range outs {
-		if !bytes.Equal(ref, out) {
-			t.Fatalf("concurrent chaos cell %d diverged from the serial reference", i)
-		}
+	for _, plan := range plans {
+		t.Run(plan.String(), func(t *testing.T) {
+			analyze := func() ([]byte, error) {
+				chaosCfg := cfg
+				p := plan
+				chaosCfg.Faults = &p
+				prof, err := core.Analyze(chaosCfg, lulesh())
+				if err != nil {
+					return nil, err
+				}
+				var buf bytes.Buffer
+				if err := profio.Save(&buf, prof); err != nil {
+					return nil, err
+				}
+				return buf.Bytes(), nil
+			}
+			ref, err := analyze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs, err := sched.MapWith(cells, cells, func(int) ([]byte, error) { return analyze() })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, out := range outs {
+				if !bytes.Equal(ref, out) {
+					t.Fatalf("concurrent chaos cell %d diverged from the serial reference", i)
+				}
+			}
+		})
 	}
 }

@@ -9,7 +9,13 @@
 //   - Figures 4-7: AMG2006 whole-program vs region-scoped patterns;
 //   - Figures 8-9: Blackscholes' staggered sections and the AoS regroup;
 //   - Figure 10: the UMT2013 kernel under MRK on POWER7;
-//   - the Section 8 optimisation speedups for all four benchmarks.
+//   - the Section 8 optimisation speedups for all four benchmarks;
+//
+// plus the A1-A4 ablations of the tool's design choices and two
+// scorecards: SC checks every paper-shape claim, and OPT checks that
+// the closed-loop advisor recovers the case-study fixes on its own.
+// The fault-injection and service-durability guarantees are not paper
+// claims; the tests of internal/core and internal/server check them.
 //
 // Each experiment returns a result struct carrying measured values
 // side by side with the paper's reported numbers, plus a Render method

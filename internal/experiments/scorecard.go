@@ -23,8 +23,7 @@ type Claim struct {
 
 // Scorecard is the reproduction checklist: every claim from the
 // paper's evaluation that this repository undertakes to reproduce,
-// evaluated against a fresh run. The robustness and recovery
-// scorecards embed it for their own claims.
+// evaluated against a fresh run.
 type Scorecard struct {
 	Claims []Claim
 }
@@ -222,17 +221,10 @@ func RunScorecard(iters int) (*Scorecard, error) {
 	return s, nil
 }
 
-// Render prints the checklist.
+// Render prints the checklist: a headline, then one line per claim.
 func (s *Scorecard) Render() string {
-	return s.render("Reproduction", "")
-}
-
-// render prints a "<title> scorecard: n/m claims hold." headline, the
-// summary lines (each ending in a newline), and one line per claim.
-func (s *Scorecard) render(title, summary string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s scorecard: %d/%d claims hold.\n", title, s.Passed(), len(s.Claims))
-	b.WriteString(summary)
+	fmt.Fprintf(&b, "Reproduction scorecard: %d/%d claims hold.\n", s.Passed(), len(s.Claims))
 	for _, c := range s.Claims {
 		mark := "PASS"
 		if !c.Pass {

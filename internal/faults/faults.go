@@ -284,9 +284,6 @@ func Wrap(mech pmu.Mechanism, plan *Plan) *Faulty {
 // Inner returns the wrapped mechanism.
 func (f *Faulty) Inner() pmu.Mechanism { return f.inner }
 
-// Plan returns the active plan.
-func (f *Faulty) Plan() Plan { return f.plan }
-
 // Counters returns a snapshot of the fault accounting.
 func (f *Faulty) Counters() Counters { return f.c }
 

@@ -362,7 +362,7 @@ func TestWrapPassThrough(t *testing.T) {
 	if f.Inner() != inner {
 		t.Error("Inner must return the wrapped mechanism")
 	}
-	p := f.Plan()
+	p := f.plan
 	if !p.Zero() {
 		t.Error("nil plan wraps to a zero plan")
 	}

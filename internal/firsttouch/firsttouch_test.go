@@ -136,10 +136,10 @@ func TestMergedPaths(t *testing.T) {
 	// per-thread ranges.
 	var leaves int
 	dummy.Visit(func(n *cct.Node) {
-		if n.NumChildren() == 0 && len(n.RangeOwners()) > 0 {
+		if n.NumChildren() == 0 && len(n.AppendRangeOwners(nil)) > 0 {
 			leaves++
-			if len(n.RangeOwners()) != 2 {
-				t.Errorf("leaf owners = %v, want both threads", n.RangeOwners())
+			if len(n.AppendRangeOwners(nil)) != 2 {
+				t.Errorf("leaf owners = %v, want both threads", n.AppendRangeOwners(nil))
 			}
 		}
 	})

@@ -83,9 +83,6 @@ func New(topo *topology.Machine, params Params) *Fabric {
 	return f
 }
 
-// Params returns the link model parameters.
-func (f *Fabric) Params() Params { return f.params }
-
 func (f *Fabric) idx(from, to topology.DomainID) int { return int(from)*f.n + int(to) }
 
 func (f *Fabric) validPair(from, to topology.DomainID) bool {
@@ -102,15 +99,6 @@ func (f *Fabric) RecordTransfer(from, to topology.DomainID) {
 	i := f.idx(from, to)
 	f.epoch[i]++
 	f.total[i]++
-}
-
-// EpochTraffic returns the transfers recorded on link from->to in the
-// current epoch.
-func (f *Fabric) EpochTraffic(from, to topology.DomainID) uint64 {
-	if !f.validPair(from, to) {
-		return 0
-	}
-	return f.epoch[f.idx(from, to)]
 }
 
 // TotalTraffic returns the lifetime transfer count on link from->to.

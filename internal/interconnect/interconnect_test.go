@@ -80,11 +80,11 @@ func TestHotLinkCongests(t *testing.T) {
 func TestEndEpochResets(t *testing.T) {
 	f := New(testMachine(), DefaultParams())
 	f.RecordTransfer(1, 0)
-	if f.EpochTraffic(1, 0) != 1 {
+	if f.epoch[f.idx(1, 0)] != 1 {
 		t.Fatal("epoch traffic not recorded")
 	}
 	f.EndEpoch()
-	if f.EpochTraffic(1, 0) != 0 {
+	if f.epoch[f.idx(1, 0)] != 0 {
 		t.Fatal("epoch traffic not reset")
 	}
 	if f.TotalTraffic(1, 0) != 1 {
@@ -107,7 +107,7 @@ func TestQuickCongestionBounds(t *testing.T) {
 		for from := range factors {
 			for to := range factors[from] {
 				v := factors[from][to]
-				if v < 1.0 || v > fab.Params().MaxCongestionFactor {
+				if v < 1.0 || v > DefaultParams().MaxCongestionFactor {
 					return false
 				}
 				if from == to && v != 1.0 {

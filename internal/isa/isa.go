@@ -149,11 +149,6 @@ func (p *Program) PrevSite(id SiteID) (Site, bool) {
 	return p.Site(id - 1)
 }
 
-// NextSite returns the site following id.
-func (p *Program) NextSite(id SiteID) (Site, bool) {
-	return p.Site(id + 1)
-}
-
 // Funcs returns all functions. The slice must not be mutated.
 func (p *Program) Funcs() []Function { return p.funcs }
 

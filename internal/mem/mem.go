@@ -86,12 +86,6 @@ func NewSystem(topo *topology.Machine, params LatencyParams) *System {
 	}
 }
 
-// Topology returns the machine this system belongs to.
-func (s *System) Topology() *topology.Machine { return s.topo }
-
-// Params returns the latency model parameters.
-func (s *System) Params() LatencyParams { return s.params }
-
 // RecordRequest notes one DRAM request served by domain d during the
 // current epoch. Invalid domain ids are ignored.
 func (s *System) RecordRequest(d topology.DomainID) {
@@ -100,17 +94,6 @@ func (s *System) RecordRequest(d topology.DomainID) {
 	}
 	s.epochRequests[d]++
 	s.totalRequests[d]++
-}
-
-// EpochRequests returns the number of requests domain d has served in
-// the current epoch.
-func (s *System) EpochRequests(d topology.DomainID) uint64 {
-	return s.epochRequests[d]
-}
-
-// TotalRequests returns the lifetime request count for domain d.
-func (s *System) TotalRequests(d topology.DomainID) uint64 {
-	return s.totalRequests[d]
 }
 
 // TotalsByDomain returns a copy of the lifetime per-domain request

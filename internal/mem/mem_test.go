@@ -101,15 +101,15 @@ func TestEndEpochResets(t *testing.T) {
 	s := NewSystem(testMachine(), DefaultLatencyParams())
 	s.RecordRequest(0)
 	s.RecordRequest(0)
-	if got := s.EpochRequests(0); got != 2 {
-		t.Fatalf("EpochRequests = %d, want 2", got)
+	if got := s.epochRequests[0]; got != 2 {
+		t.Fatalf("epoch requests = %d, want 2", got)
 	}
 	s.EndEpoch()
-	if got := s.EpochRequests(0); got != 0 {
-		t.Fatalf("after EndEpoch, EpochRequests = %d, want 0", got)
+	if got := s.epochRequests[0]; got != 0 {
+		t.Fatalf("after EndEpoch, epoch requests = %d, want 0", got)
 	}
-	if got := s.TotalRequests(0); got != 2 {
-		t.Fatalf("TotalRequests = %d, want 2 (lifetime persists)", got)
+	if got := s.TotalsByDomain()[0]; got != 2 {
+		t.Fatalf("lifetime requests = %d, want 2 (lifetime persists)", got)
 	}
 }
 
@@ -158,7 +158,7 @@ func TestQuickContentionBounds(t *testing.T) {
 		}
 		factors := s.EndEpoch()
 		for d, fac := range factors {
-			if fac < 1.0 || fac > s.Params().MaxContentionFactor {
+			if fac < 1.0 || fac > DefaultLatencyParams().MaxContentionFactor {
 				return false
 			}
 			if loads[d]%500 == 0 && fac != 1.0 {

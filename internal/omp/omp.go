@@ -46,13 +46,6 @@ func (Static) Iterations(n, nthreads, tid int) []int {
 // Name implements Schedule.
 func (Static) Name() string { return "static" }
 
-// Block returns the half-open iteration range [lo, hi) thread tid
-// executes under a static schedule — handy when a workload wants the
-// bounds without materialising the index list.
-func (Static) Block(n, nthreads, tid int) (lo, hi int) {
-	return tid * n / nthreads, (tid + 1) * n / nthreads
-}
-
 // Cyclic deals chunks of the given size round-robin: thread t runs
 // chunks t, t+T, t+2T, ... (OpenMP schedule(static, chunk)).
 type Cyclic struct {

@@ -29,10 +29,6 @@ func TestStaticSchedule(t *testing.T) {
 	if got := s.Iterations(10, 4, 3); !reflect.DeepEqual(got, []int{7, 8, 9}) {
 		t.Errorf("tid 3: %v", got)
 	}
-	lo, hi := s.Block(10, 4, 1)
-	if lo != 2 || hi != 5 {
-		t.Errorf("Block = [%d,%d)", lo, hi)
-	}
 }
 
 func TestCyclicSchedule(t *testing.T) {

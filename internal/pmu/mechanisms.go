@@ -300,11 +300,6 @@ const PEBSLLLatencyThreshold units.Cycles = 40
 type PEBSLL struct {
 	period uint64
 	ctr    periodCounter
-
-	// absoluteEvents counts every qualifying event (not only sampled
-	// ones): E_NUMA's raw material, as read from a conventional PMU
-	// counter.
-	absoluteEvents uint64
 }
 
 // DefaultPEBSLLPeriod is the scaled operating period; the paper used
@@ -341,16 +336,11 @@ func (*PEBSLL) PaperConfig() Config {
 // Period implements Mechanism.
 func (m *PEBSLL) Period() uint64 { return m.period }
 
-// AbsoluteEvents returns the count of all qualifying events, sampled
-// or not — the E_NUMA-style absolute event count of Equation 3.
-func (m *PEBSLL) AbsoluteEvents() uint64 { return m.absoluteEvents }
-
 // ObserveAccess implements Mechanism.
 func (m *PEBSLL) ObserveAccess(ev *proc.AccessEvent) AccessOutcome {
 	if ev.IsStore || ev.Latency < PEBSLLLatencyThreshold {
 		return AccessOutcome{}
 	}
-	m.absoluteEvents++
 	fired := m.ctr.add(ev.Thread.ID, 1, m.period)
 	return AccessOutcome{Sampled: fired > 0}
 }

@@ -180,10 +180,8 @@ type Monitor struct {
 	// Counters the profiler reads back.
 	samplesTaken     uint64
 	sampledInstr     uint64 // I^s: all sampled instructions (incl. non-memory)
-	sampledMemAccess uint64
 	sampledRemote    uint64
 	sampledRemoteLat units.Cycles
-	overheadCharged  units.Cycles
 
 	// stopped detaches the monitor mid-run: no further observation,
 	// sampling, or overhead charging. Counters freeze at their values
@@ -231,9 +229,6 @@ func (m *Monitor) SampledRemoteLatency() units.Cycles { return m.sampledRemoteLa
 // SampledRemote returns E^s_NUMA, the number of sampled remote events.
 func (m *Monitor) SampledRemote() uint64 { return m.sampledRemote }
 
-// OverheadCharged returns the total monitoring cost charged to threads.
-func (m *Monitor) OverheadCharged() units.Cycles { return m.overheadCharged }
-
 // StopSampling detaches the monitor for the rest of the run: no
 // further samples fire and no further monitoring overhead is charged.
 // Used by the profiler's converge-early policy once the live metric
@@ -249,12 +244,10 @@ func (m *Monitor) OnAccess(ev *proc.AccessEvent) {
 	if m.costs.PerAccess > 0 {
 		// Instrumentation-based sampling pays on every access.
 		ev.Thread.AddOverhead(m.costs.PerAccess)
-		m.overheadCharged += m.costs.PerAccess
 	}
 	out := m.mech.ObserveAccess(ev)
 	if out.Overhead > 0 {
 		ev.Thread.AddOverhead(out.Overhead)
-		m.overheadCharged += out.Overhead
 	}
 	if !out.Sampled {
 		return
@@ -301,7 +294,6 @@ func (m *Monitor) deliverSample(ev *proc.AccessEvent) {
 		}
 	}
 	ev.Thread.AddOverhead(cost)
-	m.overheadCharged += cost
 
 	if m.tr != nil && !m.tr.TransformSample(s) {
 		// Captured but lost before delivery: the cost was paid, but
@@ -311,7 +303,6 @@ func (m *Monitor) deliverSample(ev *proc.AccessEvent) {
 
 	m.samplesTaken++
 	m.sampledInstr++
-	m.sampledMemAccess++
 	if s.Source.IsRemote() {
 		m.sampledRemote++
 		if s.HasLatency {
@@ -334,7 +325,6 @@ func (m *Monitor) OnCompute(t *proc.Thread, n uint64) {
 	samples, overhead := m.mech.ObserveCompute(t, n)
 	if overhead > 0 {
 		t.AddOverhead(overhead)
-		m.overheadCharged += overhead
 	}
 	for i := 0; i < samples; i++ {
 		cost := m.costs.PerSample
@@ -342,7 +332,6 @@ func (m *Monitor) OnCompute(t *proc.Thread, n uint64) {
 			cost += m.costs.OffByOneFix
 		}
 		t.AddOverhead(cost)
-		m.overheadCharged += cost
 		s := &m.sampleBuf
 		*s = Sample{
 			ThreadID:  t.ID,

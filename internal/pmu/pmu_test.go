@@ -229,7 +229,7 @@ func TestPEBSCorrectionCostsMore(t *testing.T) {
 		mon.CorrectOffByOne = correct
 		e.AddHook(mon)
 		runSweep(e, site, 500, 0)
-		return mon.OverheadCharged()
+		return e.TotalTime()
 	}
 	with, without := run(true), run(false)
 	if with <= without {
@@ -267,15 +267,16 @@ func TestPEBSLLLatencyAndAbsoluteEvents(t *testing.T) {
 	var samples []Sample
 	mon := NewMonitor(mech, prog, func(s *Sample) { samples = append(samples, *s) })
 	e.AddHook(mon)
-	runSweep(e, site, 256, 0) // sequential lines: 1 miss per line... all DRAM-bound lines distinct
-	if mech.AbsoluteEvents() == 0 {
-		t.Fatal("PEBS-LL should count absolute qualifying events")
+	const loads = 256
+	runSweep(e, site, loads, 0) // sequential lines: 1 miss per line... all DRAM-bound lines distinct
+	if len(samples) == 0 {
+		t.Fatal("PEBS-LL sampled none of the sweep's DRAM-bound loads")
 	}
-	// Jittered periods average the nominal period but can dip to 3/4
-	// of it, so allow headroom.
-	if float64(len(samples)) > float64(mech.AbsoluteEvents())/4*1.5+2 {
-		t.Errorf("samples %d inconsistent with events %d at period 4",
-			len(samples), mech.AbsoluteEvents())
+	// At most every load is a qualifying event. Jittered periods
+	// average the nominal period but can dip to 3/4 of it, so allow
+	// headroom.
+	if float64(len(samples)) > loads/4*1.5+2 {
+		t.Errorf("samples %d inconsistent with at most %d events at period 4", len(samples), loads)
 	}
 	for _, s := range samples {
 		if !s.HasLatency || s.Latency < PEBSLLLatencyThreshold {

@@ -365,12 +365,6 @@ func (e *Engine) Mark(name string) {
 	e.marks[name] = e.totalTime
 }
 
-// MarkTime returns the time recorded under name.
-func (e *Engine) MarkTime(name string) (units.Cycles, bool) {
-	c, ok := e.marks[name]
-	return c, ok
-}
-
 // Now approximates the simulated timestamp of thread t's current
 // instruction: completed-region time plus the thread's progress in the
 // open region. Used for trace-based (time-varying) measurements.
@@ -389,10 +383,6 @@ func (e *Engine) TimeSince(name string) units.Cycles {
 	}
 	return e.totalTime
 }
-
-// StaticRegions returns the allocations backing the program's static
-// variables, index-aligned with Program.Statics().
-func (e *Engine) StaticRegions() []vm.Region { return e.staticRegions }
 
 // StaticRegion returns the allocation backing static variable i.
 func (e *Engine) StaticRegion(i int) vm.Region { return e.staticRegions[i] }
@@ -420,9 +410,6 @@ func bindCPUs(m *topology.Machine, n int, b Binding) []topology.CPUID {
 
 // Machine returns the engine's machine.
 func (e *Engine) Machine() *topology.Machine { return e.machine }
-
-// Program returns the simulated binary.
-func (e *Engine) Program() *isa.Program { return e.prog }
 
 // AddressSpace returns the simulated process's memory.
 func (e *Engine) AddressSpace() *vm.AddressSpace { return e.as }
@@ -464,11 +451,6 @@ func (e *Engine) TotalMemAccesses() uint64 { return e.totalMemAccesses }
 
 // TotalRemoteAccesses returns program-wide remote accesses (I_NUMA).
 func (e *Engine) TotalRemoteAccesses() uint64 { return e.totalRemote }
-
-// TotalRemoteLatency returns the accumulated latency of all remote
-// accesses (the paper's l_NUMA), making the exact Equation 1 lpi_NUMA
-// computable for validation against the sampled estimators.
-func (e *Engine) TotalRemoteLatency() units.Cycles { return e.totalRemoteCycles }
 
 // ExactLPI returns Equation 1 computed from full (unsampled) execution
 // counts: l_NUMA / I.
@@ -545,9 +527,9 @@ func (e *Engine) CurrentSite() isa.SiteID { return e.currentSite }
 //
 // This is the per-access hot path of the whole simulator; it avoids
 // deferred closures and heap allocations deliberately. The in-flight
-// marker is cleared explicitly at the end — Touch's fault handlers run
-// between the assignments, and nothing here panics on degraded inputs
-// (the cache and memory models classify them instead).
+// marker is cleared explicitly at the end — TouchRegion's fault
+// handlers run between the assignments, and nothing here panics on
+// degraded inputs (the cache and memory models classify them instead).
 func (e *Engine) access(t *Thread, site isa.SiteID, addr uint64, isStore bool) {
 	e.currentThread, e.currentSite = t, site
 	ev := &e.accessEv

@@ -178,8 +178,8 @@ func TestRemoteAccessLatencyExceedsLocal(t *testing.T) {
 	if e.TotalRemoteAccesses() != 1 {
 		t.Errorf("TotalRemoteAccesses = %d, want 1", e.TotalRemoteAccesses())
 	}
-	if e.TotalRemoteLatency() == 0 {
-		t.Error("TotalRemoteLatency should be nonzero")
+	if e.totalRemoteCycles == 0 {
+		t.Error("remote latency (l_NUMA) should be nonzero")
 	}
 }
 
@@ -340,7 +340,7 @@ func TestExactLPI(t *testing.T) {
 	if lpi <= 0 {
 		t.Fatalf("ExactLPI = %v, want > 0 for a remote-heavy program", lpi)
 	}
-	manual := float64(e.TotalRemoteLatency()) / float64(e.TotalInstructions())
+	manual := float64(e.totalRemoteCycles) / float64(e.TotalInstructions())
 	if lpi != manual {
 		t.Fatalf("ExactLPI = %v, manual = %v", lpi, manual)
 	}

@@ -2,6 +2,7 @@ package profio
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -43,53 +44,22 @@ func buildRandomTree(seed int64) *cct.Tree {
 	return tree
 }
 
-// treesEqual compares two CCTs structurally: same sizes, and every node
-// of a exists in b with identical metrics and ranges (and vice versa by
-// the size check).
-func treesEqual(a, b *cct.Tree) bool {
-	if a.Root().Size() != b.Root().Size() {
+// treesEqual compares two CCTs structurally: at every node the same
+// key, metrics and ranges, and the same children in key order.
+func treesEqual(a, b *cct.Tree) bool { return nodesEqual(a.Root(), b.Root()) }
+
+func nodesEqual(n, m *cct.Node) bool {
+	nc, mc := n.Children(), m.Children()
+	if n.Key != m.Key || len(nc) != len(mc) ||
+		!reflect.DeepEqual(n.Metrics(), m.Metrics()) || !reflect.DeepEqual(n.Ranges(), m.Ranges()) {
 		return false
 	}
-	equal := true
-	a.Root().Visit(func(n *cct.Node) {
-		if !equal {
-			return
+	for i := range nc {
+		if !nodesEqual(nc[i], mc[i]) {
+			return false
 		}
-		var m *cct.Node
-		if n.Key.Kind == cct.KindRoot {
-			m = b.Root()
-		} else {
-			var ok bool
-			m, ok = b.Root().FindPath(n.Path())
-			if !ok {
-				equal = false
-				return
-			}
-		}
-		am, bm := n.Metrics(), m.Metrics()
-		if len(am) != len(bm) {
-			equal = false
-			return
-		}
-		for id, v := range am {
-			if bm[id] != v {
-				equal = false
-				return
-			}
-		}
-		ar, br := n.Ranges(), m.Ranges()
-		if len(ar) != len(br) {
-			equal = false
-			return
-		}
-		for owner, rg := range ar {
-			if br[owner] != rg {
-				equal = false
-				return
-			}
-		}
-	})
-	return equal
+	}
+	return true
 }
 
 // Property: any CCT round-trips through the tree section's encoder and

@@ -18,7 +18,6 @@ package progress
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -150,18 +149,14 @@ const DefaultSubscriberBuffer = 64
 
 // Subscription is one subscriber's bounded view of a hub's stream.
 type Subscription struct {
-	hub     *Hub
-	ch      chan Event
-	closed  bool // guarded by hub.mu
-	dropped atomic.Uint64
+	hub    *Hub
+	ch     chan Event
+	closed bool // guarded by hub.mu
 }
 
 // C is the event channel; it closes after a terminal event (or hub
 // close), so ranging over it ends with the stream.
 func (s *Subscription) C() <-chan Event { return s.ch }
-
-// Dropped counts events this subscriber lost to backpressure.
-func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 
 // Close detaches the subscription. Safe to call after the hub already
 // closed the channel, and more than once.
@@ -270,7 +265,6 @@ func (h *Hub) send(sub *Subscription, ev Event) {
 	}
 	select {
 	case <-sub.ch:
-		sub.dropped.Add(1)
 		h.dropped.Inc()
 	default:
 	}
@@ -279,7 +273,6 @@ func (h *Hub) send(sub *Subscription, ev Event) {
 	default:
 		// Still full: the subscriber raced a refill; drop the new
 		// event instead.
-		sub.dropped.Add(1)
 		h.dropped.Inc()
 	}
 }
@@ -330,11 +323,4 @@ func (h *Hub) LatestSnapshot() *Snapshot {
 	}
 	s := *h.lastSnap.Snapshot
 	return &s
-}
-
-// Terminal reports whether the stream has ended.
-func (h *Hub) Terminal() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.terminal
 }

@@ -47,7 +47,7 @@ func TestHubLifecycleAndTerminalClose(t *testing.T) {
 			t.Errorf("event %d: id %d not increasing past %d", i, ev.ID, evs[i-1].ID)
 		}
 	}
-	if !h.Terminal() {
+	if !h.terminal {
 		t.Error("hub not terminal after done")
 	}
 	// The channel is closed; Close must still be safe.
@@ -125,11 +125,8 @@ func TestHubDropOldest(t *testing.T) {
 	if len(evs) == 0 || evs[len(evs)-1].Type != EventDone {
 		t.Fatalf("stream must end with done, got %+v", evs)
 	}
-	if sub.Dropped() == 0 {
+	if dropped.Value() == 0 {
 		t.Error("expected drops on a full buffer")
-	}
-	if dropped.Value() != sub.Dropped() {
-		t.Errorf("counter %d != subscription drops %d", dropped.Value(), sub.Dropped())
 	}
 	// Snapshots that did arrive are in order.
 	last := 0

@@ -4,11 +4,11 @@
 //
 // The paper's evaluation is a large cross-product — machines ×
 // mechanisms × workloads for Table 2, strategies × machines for the
-// Section 8 speedups, fault plans for the robustness scorecard — and
-// every cell is one self-contained core.Run/core.Analyze: each run
-// builds its own engine, address space, caches, and profiler, so cells
-// share nothing mutable (the audit of the shared read-only state —
-// isa.Program, topology.Machine — is documented on those types). That
+// Section 8 speedups — and every cell is one self-contained
+// core.Run/core.Analyze: each run builds its own engine, address
+// space, caches, and profiler, so cells share nothing mutable (the
+// audit of the shared read-only state — isa.Program, topology.Machine
+// — is documented on those types). That
 // makes the sweeps embarrassingly parallel, the same observation that
 // lets HPCToolkit merge independently collected per-thread profiles.
 //

@@ -130,9 +130,6 @@ func (j *Job) publish(typ string) {
 	j.hub.Publish(typ, nil, j.Status())
 }
 
-// Done is closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // attemptNow reads the current zero-based attempt number.
 func (j *Job) attemptNow() int {
 	j.mu.Lock()
@@ -333,11 +330,4 @@ func (j *Job) Status() JobStatus {
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
 	}
-}
-
-// StateNow returns the current state.
-func (j *Job) StateNow() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
 }

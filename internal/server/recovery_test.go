@@ -41,7 +41,7 @@ func TestFlakyJobRetriesToSuccess(t *testing.T) {
 	// The successful attempt's profile is byte-identical to the same
 	// spec without the flaky plan... under its own key; what matters
 	// here is that the profile exists and the client never re-submitted.
-	if !s.Store().Has(final.Key) {
+	if !s.st.Has(final.Key) {
 		t.Fatal("flaky job's profile missing from the store")
 	}
 }
@@ -107,7 +107,7 @@ func TestBreakerTripsFastFailsAndRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		<-job.Done()
+		<-job.done
 		if got := job.Status(); got.State != StateFailed {
 			t.Fatalf("submission %d: state %s, want failed", i, got.State)
 		}
@@ -139,7 +139,7 @@ func TestBreakerTripsFastFailsAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("half-open probe refused: %v", err)
 	}
-	<-job.Done()
+	<-job.done
 	if got := job.Status(); got.State != StateDone {
 		t.Fatalf("probe state %s (%s), want done", got.State, got.Error)
 	}
@@ -240,7 +240,7 @@ func TestSweepJobCheckpointsAndReplays(t *testing.T) {
 		if cell.State != StateDone || !cell.Key.Valid() {
 			t.Fatalf("cell %d: %+v", i, cell)
 		}
-		if !s.Store().Has(cell.Key) {
+		if !s.st.Has(cell.Key) {
 			t.Fatalf("cell %d profile not checkpointed", i)
 		}
 	}
@@ -307,7 +307,7 @@ func TestSweepResumesFromPartialCheckpoint(t *testing.T) {
 // every cell's profile is stored.
 func TestSweepFailsWhenCellsCannotBeStored(t *testing.T) {
 	s, c := newTestServer(t, func(o *Options) { o.BreakerThreshold = 1 })
-	dir := s.Store().Dir()
+	dir := s.st.Dir()
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestSweepFailsWhenCellsCannotBeStored(t *testing.T) {
 		if cell.State != StateFailed || cell.Error == "" {
 			t.Errorf("cell %d: %+v, want failed with an error", i, cell)
 		}
-		if s.Store().Has(cell.Key) {
+		if s.st.Has(cell.Key) {
 			t.Errorf("cell %d: profile stored in a removed store", i)
 		}
 	}
@@ -340,8 +340,9 @@ func TestSweepFailsWhenCellsCannotBeStored(t *testing.T) {
 
 // TestJournalRecoveryInProcess simulates a crash without a process
 // boundary: server A journals a finished job and abandons two pending
-// ones; server B recovers the journal into the same store and drives
-// everything terminal.
+// ones, the second a sweep; server B recovers the journal into the same
+// store and drives everything terminal, and the sweep recomputes only
+// the cell no job stored before it.
 func TestJournalRecoveryInProcess(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, store.JournalName)
@@ -382,14 +383,15 @@ func TestJournalRecoveryInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-j1.Done()
-	// Job 2 is claimed and held mid-"run"; job 3 never leaves the queue.
+	<-j1.done
+	// Job 2 is claimed and held mid-"run"; job 3, a sweep over jobs 1's
+	// and 2's specs and one more, never leaves the queue.
 	j2, err := a.Submit(fastSpec("interleave"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-held
-	j3, err := a.Submit(fastSpec("blockwise"))
+	j3, err := a.Submit(Spec{Workload: "blackscholes", Strategy: "baseline,interleave,blockwise", Iters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +416,9 @@ func TestJournalRecoveryInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Options{Store: stB, Workers: 2, QueueDepth: 8, Journal: jlB})
+	// One worker, so the recovered jobs re-run in journal order and the
+	// sweep's cell counts do not depend on scheduling.
+	b, err := New(Options{Store: stB, Workers: 1, QueueDepth: 8, Journal: jlB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +447,7 @@ func TestJournalRecoveryInProcess(t *testing.T) {
 			t.Fatalf("job %s not recovered", id)
 		}
 		select {
-		case <-rj.Done():
+		case <-rj.done:
 		case <-time.After(60 * time.Second):
 			t.Fatalf("recovered job %s never finished", id)
 		}
@@ -454,12 +458,28 @@ func TestJournalRecoveryInProcess(t *testing.T) {
 		if !st.Recovered {
 			t.Fatalf("job %s not flagged recovered", id)
 		}
-		if !stB.Has(st.Key) {
-			t.Fatalf("job %s profile missing after recovery", id)
+	}
+	if key := j2.Status().Key; !stB.Has(key) {
+		t.Fatalf("job 2's profile %s missing after recovery", key)
+	}
+	sweep, _ := b.JobByID(j3.Status().ID)
+	cells := sweep.Status().Cells
+	if len(cells) != 3 {
+		t.Fatalf("recovered sweep has %d cells, want 3", len(cells))
+	}
+	for i, c := range cells {
+		if c.State != StateDone || !stB.Has(c.Key) {
+			t.Fatalf("recovered sweep cell %d: %+v, want done and stored", i, c)
 		}
 	}
-	if got := must(t, b.Metrics().Counters, "jobs_recovered_total"); got != 2 {
+	m := b.Metrics().Counters
+	if got := must(t, m, "jobs_recovered_total"); got != 2 {
 		t.Fatalf("recovered = %d, want 2", got)
+	}
+	// Jobs 1 and 2 stored the baseline and interleave cells.
+	replayed, recomputed := must(t, m, "jobs_cells_replayed_total"), must(t, m, "jobs_cells_recomputed_total")
+	if replayed != 2 || recomputed != 1 {
+		t.Fatalf("sweep cells replayed/recomputed = %d/%d, want 2/1", replayed, recomputed)
 	}
 	// Job numbering continues past the replayed IDs.
 	j4, err := b.Submit(fastSpec("guided"))
@@ -618,7 +638,7 @@ func TestRecoveredDoneSweepKeepsCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-job.Done()
+	<-job.done
 	want := job.Status()
 	if want.State != StateDone || len(want.Cells) != 2 {
 		t.Fatalf("sweep ended %s with %d cells, want done with 2", want.State, len(want.Cells))

@@ -411,9 +411,6 @@ func (s *Server) Metrics() telemetry.RegistrySnapshot {
 	return s.m.snapshot(s.st.Stats())
 }
 
-// Store exposes the profile store (diff and view handlers read it).
-func (s *Server) Store() *store.Store { return s.st }
-
 // workerLoop drains the queue until it is closed and empty.
 func (s *Server) workerLoop() {
 	for job := range s.queue {

@@ -544,16 +544,16 @@ func TestCancelAgainstSettle(t *testing.T) {
 		t.Fatal("a second settle won")
 	}
 	select {
-	case <-settled.Done():
+	case <-settled.done:
 		t.Fatal("Done closed before finish")
 	default:
 	}
-	if got := settled.StateNow(); got != StateRunning {
+	if got := settled.Status().State; got != StateRunning {
 		t.Fatalf("settled job reads %s before finish, want running", got)
 	}
 	settled.finish("", false, now)
-	<-settled.Done()
-	if got := settled.StateNow(); got != StateDone {
+	<-settled.done
+	if got := settled.Status().State; got != StateDone {
 		t.Fatalf("finished job reads %s, want done", got)
 	}
 }
@@ -785,7 +785,7 @@ func TestConcurrentMixedSubmissions(t *testing.T) {
 	// burst is over, so they no longer move), and the hit/miss/dedup
 	// books must balance: each distinct spec misses once, every other
 	// submission is served as a hit of some flavor.
-	st := s.Store().Stats()
+	st := s.st.Stats()
 	for name, want := range map[string]uint64{
 		"store_mem_hits_total":     st.MemHits,
 		"store_disk_hits_total":    st.DiskHits,
@@ -817,7 +817,7 @@ func TestConcurrentMixedSubmissions(t *testing.T) {
 	// Every stored profile is byte-identical to a serial local run.
 	for _, sp := range specs {
 		ref := refProfileBytes(t, sp)
-		got, err := s.Store().Bytes(sp.Key())
+		got, err := s.st.Bytes(sp.Key())
 		if err != nil {
 			t.Fatalf("stored bytes for %s: %v", sp.Key(), err)
 		}

@@ -93,11 +93,10 @@ func validJournalState(state string) bool {
 // Journal is the append handle. Every Append is serialized, framed,
 // written, and fsynced before it returns.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer
-	path string
-	seq  uint64
+	mu  sync.Mutex
+	f   *os.File
+	w   *bufio.Writer
+	seq uint64
 
 	appends *telemetry.Counter
 }
@@ -119,7 +118,6 @@ func OpenJournal(path string, fromSeq uint64) (*Journal, error) {
 	j := &Journal{
 		f:       f,
 		w:       bufio.NewWriter(f),
-		path:    path,
 		seq:     fromSeq,
 		appends: telemetry.Default.Counter("journal_appends_total"),
 	}
@@ -135,9 +133,6 @@ func OpenJournal(path string, fromSeq uint64) (*Journal, error) {
 	}
 	return j, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Append frames, writes, and fsyncs one record, assigning its sequence
 // number. The nil *Journal is a valid no-op (journaling disabled), so

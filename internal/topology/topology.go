@@ -181,12 +181,6 @@ func (m *Machine) NumCPUs() int { return len(m.cpuToDomain) }
 // NumDomains returns the number of NUMA domains.
 func (m *Machine) NumDomains() int { return len(m.domains) }
 
-// Domains returns the machine's domains. The slice must not be mutated.
-func (m *Machine) Domains() []Domain { return m.domains }
-
-// Domain returns the domain with the given id.
-func (m *Machine) Domain(d DomainID) Domain { return m.domains[d] }
-
 // DomainOfCPU returns the NUMA domain that owns the CPU, or NoDomain if
 // the CPU id is out of range. This mirrors libnuma's numa_node_of_cpu.
 func (m *Machine) DomainOfCPU(c CPUID) DomainID {
@@ -211,11 +205,6 @@ func (m *Machine) Distance(a, b DomainID) int {
 	return m.distance[a][b]
 }
 
-// IsLocal reports whether CPU c belongs to domain d.
-func (m *Machine) IsLocal(c CPUID, d DomainID) bool {
-	return m.DomainOfCPU(c) == d
-}
-
 // Config reconstructs the Config that built this machine, for
 // serialisation round trips. (Machines are always built symmetric.)
 func (m *Machine) Config() Config {
@@ -235,15 +224,6 @@ func (m *Machine) Config() Config {
 		}
 	}
 	return cfg
-}
-
-// TotalMemory returns the sum of all domains' memory.
-func (m *Machine) TotalMemory() units.Bytes {
-	var t units.Bytes
-	for _, d := range m.domains {
-		t += d.Memory
-	}
-	return t
 }
 
 // String returns a one-line summary, e.g.

@@ -20,8 +20,8 @@ func TestNewSymmetricMachine(t *testing.T) {
 	if got := m.NumDomains(); got != 4 {
 		t.Fatalf("NumDomains = %d, want 4", got)
 	}
-	if got := m.TotalMemory(); got != 8*units.GiB {
-		t.Fatalf("TotalMemory = %v, want 8GiB", got)
+	if got := units.Bytes(len(m.domains)) * m.domains[0].Memory; got != 8*units.GiB {
+		t.Fatalf("total memory = %v, want 8GiB", got)
 	}
 }
 
@@ -54,7 +54,7 @@ func TestDomainOfCPUOutOfRange(t *testing.T) {
 
 func TestCPUsOfDomainRoundTrip(t *testing.T) {
 	m := MagnyCours48()
-	for _, dom := range m.Domains() {
+	for _, dom := range m.domains {
 		for _, c := range m.CPUsOfDomain(dom.ID) {
 			if got := m.DomainOfCPU(c); got != dom.ID {
 				t.Errorf("CPU %d: DomainOfCPU = %d, want %d", c, got, dom.ID)
@@ -131,19 +131,9 @@ func TestPresetsMatchPaperScale(t *testing.T) {
 		if c.m.NumDomains() != c.domains {
 			t.Errorf("%s: NumDomains = %d, want %d", c.m.Name, c.m.NumDomains(), c.domains)
 		}
-		if c.m.TotalMemory() != c.mem {
-			t.Errorf("%s: TotalMemory = %v, want %v", c.m.Name, c.m.TotalMemory(), c.mem)
+		if got := units.Bytes(len(c.m.domains)) * c.m.domains[0].Memory; got != c.mem {
+			t.Errorf("%s: total memory = %v, want %v", c.m.Name, got, c.mem)
 		}
-	}
-}
-
-func TestIsLocal(t *testing.T) {
-	m := MagnyCours48()
-	if !m.IsLocal(0, 0) {
-		t.Error("CPU 0 should be local to domain 0")
-	}
-	if m.IsLocal(0, 7) {
-		t.Error("CPU 0 should not be local to domain 7")
 	}
 }
 

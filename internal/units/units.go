@@ -13,10 +13,6 @@ import "fmt"
 // is derived by dividing by a machine's clock rate.
 type Cycles uint64
 
-// Add returns c + d. It exists for readability at call sites that mix
-// several latency contributions.
-func (c Cycles) Add(d Cycles) Cycles { return c + d }
-
 // Scale returns c multiplied by factor, rounding to the nearest cycle.
 // Factors below zero are treated as zero.
 func (c Cycles) Scale(factor float64) Cycles {

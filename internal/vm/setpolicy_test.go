@@ -13,7 +13,7 @@ func TestSetPolicyRebindsUntouchedPages(t *testing.T) {
 	r := as.Alloc(ps*4, FirstTouch{})
 
 	// Touch page 0 before rebinding: its home is fixed.
-	as.Touch(r.Base, true, 2)
+	as.TouchRegion(r.Base, true, 2)
 
 	// mbind-style rebinding to a block-wise policy.
 	as.SetPolicy(r, Blocked{Domains: []topology.DomainID{0, 1, 2, 3}})
@@ -27,7 +27,7 @@ func TestSetPolicyRebindsUntouchedPages(t *testing.T) {
 	}
 	// Untouched pages follow the new policy.
 	for p := uint64(1); p < 4; p++ {
-		home, _, _ := as.Touch(r.Base+p*ps, false, 0)
+		home, _, _, _, _ := as.TouchRegion(r.Base+p*ps, false, 0)
 		if want := topology.DomainID(p); home != want {
 			t.Errorf("page %d homed in %d, want %d (blocked)", p, home, want)
 		}

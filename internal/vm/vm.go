@@ -219,9 +219,6 @@ func NewAddressSpace(topo *topology.Machine) *AddressSpace {
 	return as
 }
 
-// Topology returns the machine this address space lives on.
-func (as *AddressSpace) Topology() *topology.Machine { return as.topo }
-
 // SetFaultHandler installs the handler invoked on protected-page
 // accesses. Passing nil removes the handler; protected accesses then
 // behave as if unprotected (matching a program with no SIGSEGV handler
@@ -284,12 +281,6 @@ func (as *AddressSpace) Freed(r Region) bool {
 	return r.ID >= 0 && r.ID < len(as.freed) && as.freed[r.ID]
 }
 
-// RegionOf returns the allocation containing addr.
-func (as *AddressSpace) RegionOf(addr uint64) (Region, bool) {
-	_, r, ok := as.lookup(addr)
-	return r, ok
-}
-
 // lookup resolves addr to its page-table entry and the live
 // allocation containing it. Guard pages, freed allocations, the tail of
 // an allocation's last page past its Size, and addresses outside the
@@ -320,25 +311,18 @@ func (as *AddressSpace) pageAt(addr uint64) *page {
 	return &as.pages[i]
 }
 
-// Touch resolves the page containing addr for an access by a thread
-// running in touchDomain, applying the allocation's placement policy on
-// first touch. It returns the page's home domain and whether this
-// access was the page's first touch.
+// TouchRegion resolves the page containing addr for an access by a
+// thread running in touchDomain, applying the allocation's placement
+// policy on first touch. It returns the page's home domain, whether
+// this access was the page's first touch, and the allocation containing
+// addr (ok false, with ErrOutOfRange, for an address in no live
+// allocation). The execution engine resolves every access through it.
 //
 // If the page is protected, the installed fault handler runs first (it
 // may call Unprotect, Alloc or any other method), then the touch is
 // retried; this mirrors the kernel delivering SIGSEGV and restarting
 // the faulting instruction (Figure 2 of the paper). If no handler is
 // installed the protection is ignored.
-func (as *AddressSpace) Touch(addr uint64, isWrite bool, touchDomain topology.DomainID) (topology.DomainID, bool, error) {
-	home, first, _, _, err := as.TouchRegion(addr, isWrite, touchDomain)
-	return home, first, err
-}
-
-// TouchRegion is Touch fused with RegionOf: one page-table index
-// resolves the page and returns the allocation containing addr. The
-// execution engine resolves every access through it. Semantics are
-// identical to Touch followed by RegionOf.
 func (as *AddressSpace) TouchRegion(addr uint64, isWrite bool, touchDomain topology.DomainID) (topology.DomainID, bool, Region, bool, error) {
 	// Almost every access hits a page already touched and not
 	// protected: it needs no fault and no placement, only the page and

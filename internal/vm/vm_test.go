@@ -46,16 +46,16 @@ func TestRegionOf(t *testing.T) {
 	as := NewAddressSpace(testMachine())
 	a := as.Alloc(5000, nil)
 	b := as.Alloc(100, nil)
-	if got, ok := as.RegionOf(a.Base + 4999); !ok || got.ID != a.ID {
-		t.Errorf("RegionOf mid-a = %+v, %v", got, ok)
+	if _, _, got, ok, _ := as.TouchRegion(a.Base+4999, false, 0); !ok || got.ID != a.ID {
+		t.Errorf("region of mid-a = %+v, %v", got, ok)
 	}
-	if got, ok := as.RegionOf(b.Base); !ok || got.ID != b.ID {
-		t.Errorf("RegionOf b = %+v, %v", got, ok)
+	if _, _, got, ok, _ := as.TouchRegion(b.Base, false, 0); !ok || got.ID != b.ID {
+		t.Errorf("region of b = %+v, %v", got, ok)
 	}
-	if _, ok := as.RegionOf(0); ok {
+	if _, _, _, ok, _ := as.TouchRegion(0, false, 0); ok {
 		t.Error("address 0 should be outside any allocation")
 	}
-	if _, ok := as.RegionOf(a.End()); ok {
+	if _, _, _, ok, _ := as.TouchRegion(a.End(), false, 0); ok {
 		t.Error("one-past-end should be outside (guard page)")
 	}
 }
@@ -63,17 +63,17 @@ func TestRegionOf(t *testing.T) {
 func TestFirstTouchHomesPageAtToucher(t *testing.T) {
 	as := NewAddressSpace(testMachine())
 	r := as.Alloc(uint64(units.PageSize)*4, FirstTouch{})
-	home, first, err := as.Touch(r.Base, true, 2)
+	home, first, _, _, err := as.TouchRegion(r.Base, true, 2)
 	if err != nil || !first || home != 2 {
 		t.Fatalf("first touch: home=%d first=%v err=%v, want 2,true,nil", home, first, err)
 	}
 	// Second touch by a different domain does not re-home.
-	home, first, err = as.Touch(r.Base, false, 3)
+	home, first, _, _, err = as.TouchRegion(r.Base, false, 3)
 	if err != nil || first || home != 2 {
 		t.Fatalf("second touch: home=%d first=%v err=%v, want 2,false,nil", home, first, err)
 	}
 	// A different page of the same region first-touched elsewhere.
-	home, first, _ = as.Touch(r.Base+uint64(units.PageSize), false, 3)
+	home, first, _, _, _ = as.TouchRegion(r.Base+uint64(units.PageSize), false, 3)
 	if !first || home != 3 {
 		t.Fatalf("other page: home=%d first=%v, want 3,true", home, first)
 	}
@@ -84,7 +84,7 @@ func TestInterleavedPolicy(t *testing.T) {
 	ps := uint64(units.PageSize)
 	r := as.Alloc(ps*8, Interleaved{})
 	for p := uint64(0); p < 8; p++ {
-		home, _, err := as.Touch(r.Base+p*ps, true, 0)
+		home, _, _, _, err := as.TouchRegion(r.Base+p*ps, true, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestInterleavedExplicitDomains(t *testing.T) {
 	r := as.Alloc(ps*4, Interleaved{Domains: []topology.DomainID{1, 3}})
 	wants := []topology.DomainID{1, 3, 1, 3}
 	for p, want := range wants {
-		home, _, _ := as.Touch(r.Base+uint64(p)*ps, true, 0)
+		home, _, _, _, _ := as.TouchRegion(r.Base+uint64(p)*ps, true, 0)
 		if home != want {
 			t.Errorf("page %d homed in %d, want %d", p, home, want)
 		}
@@ -111,7 +111,7 @@ func TestOnNodePolicy(t *testing.T) {
 	as := NewAddressSpace(testMachine())
 	r := as.Alloc(uint64(units.PageSize)*3, OnNode{Domain: 3})
 	for p := uint64(0); p < 3; p++ {
-		home, _, _ := as.Touch(r.Base+p*uint64(units.PageSize), true, 0)
+		home, _, _, _, _ := as.TouchRegion(r.Base+p*uint64(units.PageSize), true, 0)
 		if home != 3 {
 			t.Errorf("page %d homed in %d, want 3", p, home)
 		}
@@ -125,7 +125,7 @@ func TestBlockedPolicy(t *testing.T) {
 	r := as.Alloc(ps*8, Blocked{Domains: doms})
 	wants := []topology.DomainID{0, 0, 1, 1, 2, 2, 3, 3}
 	for p, want := range wants {
-		home, _, _ := as.Touch(r.Base+uint64(p)*ps, false, 1)
+		home, _, _, _, _ := as.TouchRegion(r.Base+uint64(p)*ps, false, 1)
 		if home != want {
 			t.Errorf("page %d homed in %d, want %d", p, home, want)
 		}
@@ -140,7 +140,7 @@ func TestBlockedPolicyUnevenPages(t *testing.T) {
 	r := as.Alloc(ps*7, Blocked{Domains: []topology.DomainID{0, 1, 2, 3}})
 	prev := topology.DomainID(0)
 	for p := uint64(0); p < 7; p++ {
-		home, _, _ := as.Touch(r.Base+p*ps, false, 0)
+		home, _, _, _, _ := as.TouchRegion(r.Base+p*ps, false, 0)
 		if home < prev {
 			t.Errorf("page %d home %d decreased below %d", p, home, prev)
 		}
@@ -157,7 +157,7 @@ func TestPageNode(t *testing.T) {
 	if d, err := as.PageNode(r.Base); err != nil || d != topology.NoDomain {
 		t.Fatalf("untouched PageNode = %d, %v; want NoDomain, nil", d, err)
 	}
-	as.Touch(r.Base, true, 1)
+	as.TouchRegion(r.Base, true, 1)
 	if d, err := as.PageNode(r.Base); err != nil || d != 1 {
 		t.Fatalf("PageNode = %d, %v; want 1, nil", d, err)
 	}
@@ -171,7 +171,7 @@ func TestTouchOutOfRange(t *testing.T) {
 	ps := uint64(units.PageSize)
 	a := as.Alloc(ps+100, nil) // two pages, the second mostly past Size
 	freed := as.Alloc(ps, nil)
-	as.Touch(freed.Base, true, 0)
+	as.TouchRegion(freed.Base, true, 0)
 	as.Free(freed)
 	last := as.Alloc(10, nil)
 	for _, c := range []struct {
@@ -186,14 +186,11 @@ func TestTouchOutOfRange(t *testing.T) {
 		{"page after the last guard page", last.Base + 2*ps},
 		{"far past the last allocation", 1 << 40},
 	} {
-		if _, _, err := as.Touch(c.addr, false, 0); err != ErrOutOfRange {
-			t.Errorf("%s: Touch err = %v, want ErrOutOfRange", c.name, err)
+		if _, _, r, ok, err := as.TouchRegion(c.addr, false, 0); err != ErrOutOfRange || ok {
+			t.Errorf("%s: TouchRegion = region %+v, ok %v, err %v; want none, ErrOutOfRange", c.name, r, ok, err)
 		}
 		if _, err := as.PageNode(c.addr); err != ErrOutOfRange {
 			t.Errorf("%s: PageNode err = %v, want ErrOutOfRange", c.name, err)
-		}
-		if r, ok := as.RegionOf(c.addr); ok {
-			t.Errorf("%s: RegionOf = %+v, want none", c.name, r)
 		}
 	}
 }
@@ -262,7 +259,7 @@ func TestFaultDeliveryAndRetry(t *testing.T) {
 		as.Unprotect(f.Addr) // handler must restore access
 	})
 
-	home, first, err := as.Touch(r.Base+8, true, 2)
+	home, first, _, _, err := as.TouchRegion(r.Base+8, true, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,12 +274,12 @@ func TestFaultDeliveryAndRetry(t *testing.T) {
 		t.Errorf("touch after fault: home=%d first=%v", home, first)
 	}
 	// Subsequent access to the unprotected page: no new fault.
-	as.Touch(r.Base+16, false, 2)
+	as.TouchRegion(r.Base+16, false, 2)
 	if len(faults) != 1 {
 		t.Errorf("unprotected access faulted again: %d faults", len(faults))
 	}
 	// The second page is still protected.
-	as.Touch(r.Base+ps, false, 1)
+	as.TouchRegion(r.Base+ps, false, 1)
 	if len(faults) != 2 {
 		t.Errorf("second page should fault: %d faults", len(faults))
 	}
@@ -297,7 +294,7 @@ func TestTouchedPageLeavesFastPath(t *testing.T) {
 	t.Run("protected after touch", func(t *testing.T) {
 		as := NewAddressSpace(testMachine())
 		r := as.Alloc(ps*2, nil)
-		as.Touch(r.Base, false, 1)
+		as.TouchRegion(r.Base, false, 1)
 		faults := 0
 		as.SetFaultHandler(func(f Fault) {
 			faults++
@@ -318,7 +315,7 @@ func TestTouchedPageLeavesFastPath(t *testing.T) {
 	t.Run("freed after touch", func(t *testing.T) {
 		as := NewAddressSpace(testMachine())
 		r := as.Alloc(ps*2, nil)
-		as.Touch(r.Base+ps, false, 1)
+		as.TouchRegion(r.Base+ps, false, 1)
 		as.Free(r)
 		if _, _, _, ok, err := as.TouchRegion(r.Base+ps, false, 1); err != ErrOutOfRange || ok {
 			t.Fatalf("TouchRegion after free = ok %v, err %v; want ErrOutOfRange", ok, err)
@@ -327,7 +324,7 @@ func TestTouchedPageLeavesFastPath(t *testing.T) {
 	t.Run("past size on a touched last page", func(t *testing.T) {
 		as := NewAddressSpace(testMachine())
 		r := as.Alloc(ps+100, nil)
-		as.Touch(r.Base+ps, false, 2) // the last page, partly used
+		as.TouchRegion(r.Base+ps, false, 2) // the last page, partly used
 		if _, _, _, ok, err := as.TouchRegion(r.End(), false, 2); err != ErrOutOfRange || ok {
 			t.Fatalf("TouchRegion(End) = ok %v, err %v; want ErrOutOfRange", ok, err)
 		}
@@ -342,7 +339,7 @@ func TestNoHandlerIgnoresProtection(t *testing.T) {
 	ps := uint64(units.PageSize)
 	r := as.Alloc(ps, nil)
 	as.Protect(r.Base, ps, ProtNone)
-	if _, _, err := as.Touch(r.Base, false, 0); err != nil {
+	if _, _, _, _, err := as.TouchRegion(r.Base, false, 0); err != nil {
 		t.Fatalf("touch with no handler: %v", err)
 	}
 }
@@ -352,9 +349,9 @@ func TestFree(t *testing.T) {
 	ps := uint64(units.PageSize)
 	r := as.Alloc(ps*2, nil)
 	keep := as.Alloc(ps, nil)
-	as.Touch(r.Base, true, 1)
-	as.Touch(r.Base+ps, true, 1)
-	as.Touch(keep.Base, true, 2)
+	as.TouchRegion(r.Base, true, 1)
+	as.TouchRegion(r.Base+ps, true, 1)
+	as.TouchRegion(keep.Base, true, 2)
 	as.Protect(r.Base, ps, ProtNone)
 	as.Free(r)
 	if !as.Freed(r) {
@@ -368,7 +365,7 @@ func TestFree(t *testing.T) {
 			t.Errorf("Freed(Region{ID: %d}) = true for an ID never allocated", id)
 		}
 	}
-	if _, _, err := as.Touch(r.Base, false, 0); err != ErrOutOfRange {
+	if _, _, _, _, err := as.TouchRegion(r.Base, false, 0); err != ErrOutOfRange {
 		t.Fatalf("touch after free = %v, want ErrOutOfRange", err)
 	}
 	if _, err := as.PageNode(r.Base + ps); err != ErrOutOfRange {
@@ -391,7 +388,7 @@ func TestDomainPages(t *testing.T) {
 	ps := uint64(units.PageSize)
 	r := as.Alloc(ps*4, Interleaved{})
 	for p := uint64(0); p < 4; p++ {
-		as.Touch(r.Base+p*ps, true, 0)
+		as.TouchRegion(r.Base+p*ps, true, 0)
 	}
 	counts := as.DomainPages()
 	for d, c := range counts {
@@ -442,17 +439,17 @@ func TestQuickBlockedContiguous(t *testing.T) {
 }
 
 // Property: first-touch homes are sticky — the home returned by the
-// first Touch is returned by every later Touch regardless of toucher.
+// first TouchRegion is returned by every later one regardless of toucher.
 func TestQuickFirstTouchSticky(t *testing.T) {
 	as := NewAddressSpace(testMachine())
 	r := as.Alloc(uint64(units.PageSize)*256, FirstTouch{})
 	f := func(pageIdx uint8, d1, d2 uint8) bool {
 		addr := r.Base + uint64(pageIdx)*uint64(units.PageSize)
-		h1, _, err := as.Touch(addr, false, topology.DomainID(d1%4))
+		h1, _, _, _, err := as.TouchRegion(addr, false, topology.DomainID(d1%4))
 		if err != nil {
 			return false
 		}
-		h2, first2, err := as.Touch(addr, true, topology.DomainID(d2%4))
+		h2, first2, _, _, err := as.TouchRegion(addr, true, topology.DomainID(d2%4))
 		return err == nil && h1 == h2 && !first2
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -470,7 +467,7 @@ func TestMisbehavingFaultHandlerDoesNotHang(t *testing.T) {
 	as.Protect(r.Base, uint64(units.PageSize), ProtNone)
 	faults := 0
 	as.SetFaultHandler(func(Fault) { faults++ }) // never unprotects
-	if _, _, err := as.Touch(r.Base, true, 0); err != nil {
+	if _, _, _, _, err := as.TouchRegion(r.Base, true, 0); err != nil {
 		t.Fatal(err)
 	}
 	if faults != 1 {
@@ -478,7 +475,7 @@ func TestMisbehavingFaultHandlerDoesNotHang(t *testing.T) {
 	}
 	// The page stays protected (the handler's bug), and the next
 	// access faults again — still exactly once per access.
-	if _, _, err := as.Touch(r.Base, false, 0); err != nil {
+	if _, _, _, _, err := as.TouchRegion(r.Base, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if faults != 2 {
