@@ -25,13 +25,18 @@
 // 503, the queued backlog runs to completion (bounded by
 // -drain-timeout), and the store is flushed before exit.
 //
-// Durability: unless -journal=false, every job state transition is
-// written ahead to <dir>/journal.numadlog. On startup the journal is
-// replayed — finished jobs reappear terminal, interrupted ones are
-// re-enqueued and resume from their per-cell checkpoints — so a crash
-// (power cut, OOM kill, SIGKILL) never loses acknowledged work.
-// Unparseable journal lines are quarantined to a side file, never
-// silently dropped.
+// Durability: unless -journal=false, every accepted job is written
+// ahead to <dir>/journal.numadlog (its spec before the 202, its
+// outcome when it ends). On startup the journal is replayed — finished
+// jobs reappear terminal, interrupted ones are re-enqueued, and a
+// re-enqueued sweep recomputes only the cells whose profiles the store
+// lacks — so a crash (power cut, OOM kill, SIGKILL) never loses
+// acknowledged work. Unparseable journal lines are quarantined to a
+// side file, never silently dropped.
+//
+// Every job runs once. The simulator is deterministic, so a failed
+// spec would fail again; a spec that fails several times in a row is
+// fast-failed (503) by its circuit breaker until a cooldown passes.
 package main
 
 import (
@@ -66,7 +71,6 @@ type config struct {
 	drainTimeout time.Duration
 	top          int
 	journal      bool
-	retries      int
 	snapEvery    int
 }
 
@@ -81,7 +85,6 @@ func main() {
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for the backlog before cancelling it")
 	flag.IntVar(&cfg.top, "top", 5, "variables the text/HTML views detail")
 	flag.BoolVar(&cfg.journal, "journal", true, "write-ahead job journal in the store directory, replayed on startup to recover interrupted jobs")
-	flag.IntVar(&cfg.retries, "retries", 0, "transient-failure retries per job (0: default 3; negative: disable)")
 	flag.IntVar(&cfg.snapEvery, "snapshot-every", 0,
 		"publish a live progress snapshot every N profiling epochs to /api/v1/jobs/{id}/events (0: lifecycle events only)")
 	logLevel := flag.String("log-level", "",
@@ -165,7 +168,6 @@ func run(cfg config) error {
 		JobTimeout:    cfg.jobTimeout,
 		TopVars:       cfg.top,
 		Journal:       jl,
-		MaxRetries:    cfg.retries,
 		SnapshotEvery: cfg.snapEvery,
 	})
 	if err != nil {

@@ -293,29 +293,6 @@ func (t *Tracker) RestoreBin(v *datacentric.Variable, bin int, scope string, trs
 	t.patterns[key{varID: v.Region.ID, bin: bin, scope: scope}] = p
 }
 
-// Merge folds other's patterns into t ([min,max] union, counts and
-// latency added) — the hpcprof cross-thread/process reduction.
-func (t *Tracker) Merge(other *Tracker) {
-	for k, src := range other.patterns {
-		dst, ok := t.patterns[k]
-		if !ok {
-			dst = &Pattern{Var: src.Var, Scope: src.Scope, Bin: src.Bin, perThread: make(map[int]*ThreadRange)}
-			t.patterns[k] = dst
-		}
-		for th, str := range src.perThread {
-			dtr, ok := dst.perThread[th]
-			if !ok {
-				cp := *str
-				dst.perThread[th] = &cp
-				continue
-			}
-			dtr.Range = dtr.Range.Union(str.Range)
-			dtr.Count += str.Count
-			dtr.Latency += str.Latency
-		}
-	}
-}
-
 func minf(a, b float64) float64 {
 	if a < b {
 		return a

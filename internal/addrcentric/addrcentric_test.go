@@ -157,23 +157,6 @@ func TestFullSweepPattern(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	v := testVar(0, 0, 1000)
-	a, b := NewTracker(), NewTracker()
-	a.Record(v, 0, 100, 10)
-	b.Record(v, 0, 500, 20)
-	b.Record(v, 1, 900, 30)
-	a.Merge(b)
-	p, _ := a.Pattern(v, WholeProgram)
-	r0, _ := p.perThread[0]
-	if r0.Range.Min != 100 || r0.Range.Max != 500 || r0.Count != 2 || r0.Latency != 30 {
-		t.Fatalf("merged thread 0 = %+v", r0)
-	}
-	if _, ok := p.perThread[1]; !ok {
-		t.Fatal("merge should import thread 1")
-	}
-}
-
 func TestSingleThreadPatternDegenerate(t *testing.T) {
 	tr := NewTracker()
 	v := testVar(0, 0, 100)

@@ -33,7 +33,6 @@ const (
 	SrcRemoteCache // remote domain's shared L3
 	SrcLocalDRAM
 	SrcRemoteDRAM
-	numSources
 )
 
 // String returns the conventional name of the data source.
@@ -175,9 +174,6 @@ type Hierarchy struct {
 	l1   []*setAssoc // per CPU
 	l2   []*setAssoc // per CPU
 	l3   []*setAssoc // per domain
-
-	// hit/miss statistics per source, for reporting.
-	sourceCounts [numSources]uint64
 }
 
 // NewHierarchy builds the caches for a machine.
@@ -211,16 +207,13 @@ func (h *Hierarchy) Access(cpu topology.CPUID, addr uint64, homeDomain topology.
 	local := h.topo.DomainOfCPU(cpu)
 	if cpu >= 0 && int(cpu) < len(h.l1) {
 		if h.l1[cpu].access(addr) {
-			h.sourceCounts[SrcL1]++
 			return Result{SrcL1, h.cfg.L1Latency}
 		}
 		if h.l2[cpu].access(addr) {
-			h.sourceCounts[SrcL2]++
 			return Result{SrcL2, h.cfg.L2Latency}
 		}
 	}
 	if local >= 0 && int(local) < len(h.l3) && h.l3[local].access(addr) {
-		h.sourceCounts[SrcL3]++
 		return Result{SrcL3, h.cfg.L3Latency}
 	}
 	// Missed the whole local hierarchy. Lookup cost so far:
@@ -230,7 +223,6 @@ func (h *Hierarchy) Access(cpu topology.CPUID, addr uint64, homeDomain topology.
 		// data may be resident in its home L3 because the owner
 		// domain's threads also touch it).
 		if h.l3[homeDomain].access(addr) {
-			h.sourceCounts[SrcRemoteCache]++
 			return Result{SrcRemoteCache, lookup + h.cfg.RemoteCacheLatency}
 		}
 	}
@@ -241,18 +233,7 @@ func (h *Hierarchy) Access(cpu topology.CPUID, addr uint64, homeDomain topology.
 	// falls back to the local-DRAM cost model (mem.DRAMLatency applies
 	// the same NoDomain convention).
 	if homeDomain == topology.NoDomain || local == homeDomain {
-		h.sourceCounts[SrcLocalDRAM]++
 		return Result{SrcLocalDRAM, lookup}
 	}
-	h.sourceCounts[SrcRemoteDRAM]++
 	return Result{SrcRemoteDRAM, lookup}
-}
-
-// SourceCounts returns lifetime access counts per data source.
-func (h *Hierarchy) SourceCounts() map[DataSource]uint64 {
-	out := make(map[DataSource]uint64, int(numSources))
-	for s := DataSource(0); s < numSources; s++ {
-		out[s] = h.sourceCounts[s]
-	}
-	return out
 }

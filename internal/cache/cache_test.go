@@ -171,17 +171,6 @@ func TestPrivateCachesAreNotShared(t *testing.T) {
 	}
 }
 
-func TestSourceCountsAccumulate(t *testing.T) {
-	h := NewHierarchy(testMachine(), DefaultConfig())
-	h.Access(0, 0x7000, 0)
-	h.Access(0, 0x7000, 0)
-	h.Access(0, 0x8000, 1)
-	c := h.SourceCounts()
-	if c[SrcLocalDRAM] != 1 || c[SrcL1] != 1 || c[SrcRemoteDRAM] != 1 {
-		t.Fatalf("counts = %v", c)
-	}
-}
-
 func TestLatencyOrdering(t *testing.T) {
 	cfg := DefaultConfig()
 	h := NewHierarchy(testMachine(), cfg)

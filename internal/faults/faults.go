@@ -65,20 +65,10 @@ type Plan struct {
 	// file missing or unreadable). The analyzer always keeps at least
 	// one surviving thread.
 	ThreadLossRate float64
-	// Flaky makes the first N run attempts fail with a transient
-	// error before the pipeline starts (a sampling driver that needs
-	// a retry to come up). It is run-level, not sampler-level: the
-	// job runner consults RunError before each attempt, and once an
-	// attempt survives, the run itself is untouched — so a flaky spec
-	// still produces bytes identical to its non-flaky twin. 0 disables.
-	Flaky uint64
 }
 
 // Zero reports whether the plan injects nothing into the sampling
-// pipeline. Flaky deliberately does not count: it fails whole run
-// attempts before the pipeline starts, so a flaky-only plan must not
-// wrap the sampler (the successful attempt's profile stays
-// byte-identical to an unplanned run).
+// pipeline.
 func (p *Plan) Zero() bool {
 	return p == nil || (p.DropRate == 0 && p.CorruptRate == 0 && p.SkidRate == 0 &&
 		p.GarbleRate == 0 && p.StallAfter == 0 && p.FailAfter == 0 && p.ThreadLossRate == 0)
@@ -106,9 +96,6 @@ func (p *Plan) String() string {
 		parts = append(parts, fmt.Sprintf("fail=%d", p.FailAfter))
 	}
 	add("threadloss", p.ThreadLossRate)
-	if p.Flaky != 0 {
-		parts = append(parts, fmt.Sprintf("flaky=%d", p.Flaky))
-	}
 	if p.Seed != 0 {
 		parts = append(parts, fmt.Sprintf("seed=%d", p.Seed))
 	}
@@ -169,12 +156,10 @@ func ParsePlan(s string) (*Plan, error) {
 			err = count(&p.StallAfter)
 		case "fail":
 			err = count(&p.FailAfter)
-		case "flaky":
-			err = count(&p.Flaky)
 		case "seed":
 			err = count(&p.Seed)
 		default:
-			err = fmt.Errorf("faults: unknown plan key %q (drop|corrupt|skid|garble|stall|fail|threadloss|flaky|seed)", k)
+			err = fmt.Errorf("faults: unknown plan key %q (drop|corrupt|skid|garble|stall|fail|threadloss|seed)", k)
 		}
 		if err != nil {
 			return nil, err

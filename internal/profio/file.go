@@ -18,7 +18,7 @@ import (
 // file or none at all. This is the contract the numad profile store
 // depends on: a key is present exactly when its bytes are whole.
 func SaveFile(path string, p *core.Profile) error {
-	return atomicWrite(path, func(w io.Writer) error {
+	return AtomicWrite(path, func(w io.Writer) error {
 		return Save(w, p)
 	})
 }
@@ -60,10 +60,11 @@ func WithFileBytes(path string, use func(data []byte) error) error {
 // fileBufs holds WithFileBytes's read buffers.
 var fileBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// atomicWrite runs write against a temp file in path's directory and
+// AtomicWrite runs write against a temp file in path's directory and
 // renames it into place only when write and sync both succeed. On any
-// failure the temp file is removed and path is untouched.
-func atomicWrite(path string, write func(io.Writer) error) (err error) {
+// failure the temp file is removed and path is untouched. SaveFile and
+// the numad journal's compaction write through it.
+func AtomicWrite(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {

@@ -75,7 +75,7 @@ func TestTornWritePreservesOldFile(t *testing.T) {
 	killed := errors.New("simulated kill mid-write")
 	for _, frac := range []float64{0, 0.25, 0.5, 0.99} {
 		n := int(frac * float64(whole.Len()))
-		err := atomicWrite(path, func(w io.Writer) error {
+		err := AtomicWrite(path, func(w io.Writer) error {
 			if _, err := w.Write(whole.Bytes()[:n]); err != nil {
 				return err
 			}
@@ -104,7 +104,7 @@ func TestTornWriteFreshPathLeavesNothing(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fresh.numaprof")
 	killed := errors.New("simulated kill mid-write")
-	err := atomicWrite(path, func(w io.Writer) error {
+	err := AtomicWrite(path, func(w io.Writer) error {
 		if _, err := io.WriteString(w, magicV2+"\n{\"section\":\"meta\""); err != nil {
 			return err
 		}

@@ -239,8 +239,9 @@ func (e *panicErr) Error() string { return fmt.Sprintf("panic: %v", e.value) }
 
 // runCell invokes one cell, converting a panic into that cell's error
 // so a bad cell cannot take down the sweep (or, when parallel, the
-// process). The serial path uses the same wrapper so -parallel 1 and
-// -parallel N fail identically.
+// process). A failed cell's result is T's zero value, whatever fn
+// returned beside its error. The serial path uses the same wrapper so
+// -parallel 1 and -parallel N fail identically.
 func runCell[T any](ctx context.Context, i int, fn func(ctx context.Context, i int) (T, error)) (result T, err error) {
 	_, done := telemetry.Timed(ctx, "sched.cell", telemetry.Int("index", i))
 	defer done()
@@ -254,6 +255,8 @@ func runCell[T any](ctx context.Context, i int, fn func(ctx context.Context, i i
 				"index", i, "panic", fmt.Sprint(r), "stack", string(stack))
 		}
 		if err != nil {
+			var zero T
+			result = zero
 			telemetry.Default.Counter("sched_cell_failures_total").Inc()
 		}
 	}()

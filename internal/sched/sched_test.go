@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -52,6 +53,26 @@ func TestMapRunsEveryCell(t *testing.T) {
 	}
 	if sweep.AllFailed() {
 		t.Fatal("AllFailed on a partial failure")
+	}
+}
+
+// TestMapFailedCellSlotIsZero: a cell that returns a value beside its
+// error leaves T's zero value in its slot, serially and in parallel.
+func TestMapFailedCellSlotIsZero(t *testing.T) {
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 2} {
+		got, err := MapWith(workers, 3, func(i int) (int, error) {
+			if i == 1 {
+				return 7, boom
+			}
+			return i + 10, nil
+		})
+		if sweep, ok := AsSweep(err); !ok || len(sweep.Cells) != 1 || sweep.Cells[0].Index != 1 {
+			t.Fatalf("workers %d: err = %v, want cell 1 failed", workers, err)
+		}
+		if want := []int{10, 0, 12}; !slices.Equal(got, want) {
+			t.Fatalf("workers %d: results = %v, want %v", workers, got, want)
+		}
 	}
 }
 

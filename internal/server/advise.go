@@ -16,8 +16,8 @@ import (
 
 // The advise endpoint: POST /api/v1/jobs/{id}/advise turns a finished
 // profiling job into an asynchronous optimizer run. The advise job is a
-// regular Job — same state machine, journal records, retry policy, and
-// worker pool — whose spec is the target's with Advise set, so its key
+// regular Job — same state machine, journal records, circuit breaker
+// and worker pool — whose spec is the target's with Advise set, so its key
 // is distinct from the profile's and the whole run is deduped and
 // durable like any other submission. Every profile it needs comes
 // through resolve, the single-spec job path: the baseline on the
@@ -58,7 +58,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	s.writeSubmitResult(w, job, err)
 }
 
-// executeAdvise resolves one advise attempt: baseline profile (store
+// executeAdvise resolves an advise job: baseline profile (store
 // hit or fresh run), diagnosis, and the candidate fan-out, all under
 // the job's context. The job's cells mirror candidate progress the way
 // a sweep's mirror its cells.

@@ -61,7 +61,6 @@ type Job struct {
 	settled   State // outcome claimed by settle, not yet published by finish
 	err       string
 	cacheHit  bool
-	attempt   int          // zero-based run attempt (retries increment)
 	recovered bool         // re-enqueued from the journal after a restart
 	cells     []CellStatus // per-cell progress of a sweep job
 	advice    []byte       // advise job's marshaled advisor.Report
@@ -128,31 +127,6 @@ func (j *Job) Events(lastID uint64, buf int) ([]progress.Event, *progress.Subscr
 // the stream.
 func (j *Job) publish(typ string) {
 	j.hub.Publish(typ, nil, j.Status())
-}
-
-// attemptNow reads the current zero-based attempt number.
-func (j *Job) attemptNow() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.attempt
-}
-
-// bumpAttempt advances to the next retry attempt.
-func (j *Job) bumpAttempt() {
-	j.mu.Lock()
-	j.attempt++
-	j.mu.Unlock()
-}
-
-// setAttempt restores a journal-recovered attempt counter, so a flaky
-// plan's deterministic schedule resumes where the crashed process left
-// off.
-func (j *Job) setAttempt(n int) {
-	j.mu.Lock()
-	if n > j.attempt {
-		j.attempt = n
-	}
-	j.mu.Unlock()
 }
 
 // markRecovered tags a re-enqueued job.
@@ -296,8 +270,6 @@ type JobStatus struct {
 	Spec     Spec      `json:"spec"`
 	CacheHit bool      `json:"cache_hit,omitempty"`
 	Error    string    `json:"error,omitempty"`
-	// Attempt counts retries: 0 for a job that ran once.
-	Attempt int `json:"attempt,omitempty"`
 	// Recovered marks a job replayed from the journal after a restart.
 	Recovered bool `json:"recovered,omitempty"`
 	// Cells is the per-cell progress of a sweep job (absent otherwise).
@@ -323,7 +295,6 @@ func (j *Job) Status() JobStatus {
 		Spec:        j.spec,
 		CacheHit:    j.cacheHit,
 		Error:       j.err,
-		Attempt:     j.attempt,
 		Recovered:   j.recovered,
 		Cells:       cells,
 		SubmittedAt: j.submitted,

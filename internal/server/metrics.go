@@ -26,7 +26,6 @@ type metrics struct {
 
 	// Durability and recovery instruments.
 	recovered        *telemetry.Counter // jobs re-enqueued from the journal
-	retried          *telemetry.Counter // transient-failure retry attempts
 	shed             *telemetry.Counter // deadline-infeasible rejections
 	breakerTrips     *telemetry.Counter // breaker open transitions
 	breakerFastFails *telemetry.Counter // submissions refused while open
@@ -79,7 +78,6 @@ func newMetrics(reg *telemetry.Registry, capacity, workers int) metrics {
 		total:     reg.Histogram("job_total"),
 
 		recovered:        reg.Counter("jobs_recovered_total"),
-		retried:          reg.Counter("jobs_retried_total"),
 		shed:             reg.Counter("jobs_shed_total"),
 		breakerTrips:     reg.Counter("jobs_breaker_trips_total"),
 		breakerFastFails: reg.Counter("jobs_breaker_fastfails_total"),

@@ -23,7 +23,7 @@ var (
 	// Retry-After).
 	ErrOverloaded = errors.New("server: overloaded, job cannot meet its deadline")
 	// ErrCircuitOpen is the per-spec circuit breaker fast-failing a
-	// spec that failed permanently several times in a row (503 with
+	// spec that failed several times in a row (503 with
 	// Retry-After; the spec is retried after the cooldown).
 	ErrCircuitOpen = errors.New("server: circuit open for this spec")
 )
@@ -59,36 +59,9 @@ func RetryAfterHint(err error) (time.Duration, bool) {
 	return 0, false
 }
 
-// backoffDelay is the capped exponential retry backoff with
-// deterministic per-job jitter: base<<attempt clamped to cap, plus up
-// to 25% jitter derived from the job ID and attempt, so a burst of
-// retrying jobs does not thunder in lockstep but tests replay exactly.
-func backoffDelay(base, cap time.Duration, attempt int, id string) time.Duration {
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = 5 * time.Second
-	}
-	d := base
-	for i := 0; i < attempt && d < cap; i++ {
-		d *= 2
-	}
-	if d > cap {
-		d = cap
-	}
-	var h uint64 = 1469598103934665603 // FNV-1a over id and attempt
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint64(id[i])) * 1099511628211
-	}
-	h = (h ^ uint64(attempt)) * 1099511628211
-	jitter := time.Duration(h % uint64(d/4+1))
-	return d + jitter
-}
-
 // breakerEntry is one spec's failure history. The breaker is keyed by
-// store key (canonical spec hash): repeated permanent failures of the
-// same spec trip it open, and submissions fast-fail until the cooldown
+// store key (canonical spec hash): repeated failures of the same spec
+// trip it open, and submissions fast-fail until the cooldown
 // passes; the first success closes it again. Canceled and deadline
 // outcomes never count — they say nothing about the spec.
 type breakerEntry struct {
@@ -124,7 +97,7 @@ func (s *Server) breakerAllow(key store.Key, now time.Time) (time.Duration, bool
 	return 0, true
 }
 
-// breakerFailure records a permanent failure for key, tripping the
+// breakerFailure records a failure for key, tripping the
 // breaker at the threshold.
 func (s *Server) breakerFailure(key store.Key) {
 	if s.breakerThreshold <= 0 {
@@ -180,10 +153,11 @@ func (s *Server) shedCheck(now time.Time) (time.Duration, bool) {
 	return expected - s.timeout, false
 }
 
-// journalAppend logs one job state transition. The spec rides along
-// only on queued records (it is what recovery re-enqueues); everything
-// else is identified by job ID. Append failures outside Submit are
-// logged, not fatal: losing durability must not fail a live job.
+// journalAppend logs a job's queued record or its terminal one, the
+// only records recovery reads. The spec rides along only on queued
+// records (it is what recovery re-enqueues); everything else is
+// identified by job ID. Append failures outside Submit are logged, not
+// fatal: losing durability must not fail a live job.
 func (s *Server) journalAppend(job *Job, state State, errMsg string, cacheHit bool, withSpec bool) error {
 	if s.jl == nil {
 		return nil
@@ -191,7 +165,6 @@ func (s *Server) journalAppend(job *Job, state State, errMsg string, cacheHit bo
 	rec := store.JournalRecord{
 		ID:       job.id,
 		State:    string(state),
-		Attempt:  job.attemptNow(),
 		CacheHit: cacheHit,
 		Err:      errMsg,
 		Unix:     time.Now().Unix(),
@@ -212,8 +185,9 @@ func (s *Server) journalAppend(job *Job, state State, errMsg string, cacheHit bo
 }
 
 // Recover replays a recovered journal into the server: terminal jobs
-// re-enter the job table (the API keeps answering for them), queued and
-// running jobs are re-enqueued from their journaled specs, and the job
+// re-enter the job table (the API keeps answering for them), queued
+// jobs are re-enqueued from their journaled specs (so is a job whose
+// last record is running, which only older journals hold), and the job
 // ID sequence continues past the highest replayed ID. Call it after New
 // and before Start, with the journal already compacted and reopened.
 //
@@ -271,7 +245,6 @@ func (s *Server) Recover(rec *store.RecoveredJournal) error {
 		}
 		job := newJob(s.baseCtx, jj.ID, n, n.Key(), now)
 		job.markRecovered()
-		job.setAttempt(jj.Attempt)
 		if s.timeout > 0 {
 			job.armTimeout(s.timeout)
 		}
@@ -295,7 +268,7 @@ func (s *Server) Recover(rec *store.RecoveredJournal) error {
 		}
 		s.adoptJob(job)
 		s.m.recovered.Inc()
-		s.log.Info("job recovered", "id", jj.ID, "state", jj.State, "attempt", jj.Attempt)
+		s.log.Info("job recovered", "id", jj.ID, "state", jj.State)
 	}
 
 	// Continue job numbering past every replayed ID, recovered or not.
@@ -314,7 +287,6 @@ func (s *Server) Recover(rec *store.RecoveredJournal) error {
 // as failed.
 func (s *Server) failRecovered(jj store.JournalJob, spec Spec, key store.Key, msg string, now time.Time) error {
 	job := newTerminalJob(jj.ID, spec, key, StateFailed, msg, false, nil, now)
-	job.setAttempt(jj.Attempt)
 	if err := s.journalAppend(job, StateFailed, msg, false, len(jj.Spec) > 0); err != nil {
 		return err
 	}

@@ -16,59 +16,6 @@ import (
 	"repro/internal/store"
 )
 
-// fastRetry shrinks the backoff so retry tests run in milliseconds.
-func fastRetry(o *Options) {
-	o.MaxRetries = 3
-	o.RetryBase = time.Millisecond
-	o.RetryCap = 4 * time.Millisecond
-}
-
-func TestFlakyJobRetriesToSuccess(t *testing.T) {
-	s, c := newTestServer(t, fastRetry)
-	spec := fastSpec("baseline")
-	spec.Chaos = "flaky=2"
-	st, err := c.Submit(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := mustDone(t, c, st.ID)
-	if final.Attempt != 2 {
-		t.Fatalf("attempt = %d, want 2 (two injected transient failures)", final.Attempt)
-	}
-	if got := must(t, s.Metrics().Counters, "jobs_retried_total"); got != 2 {
-		t.Fatalf("retried = %d, want 2", got)
-	}
-	// The successful attempt's profile is byte-identical to the same
-	// spec without the flaky plan... under its own key; what matters
-	// here is that the profile exists and the client never re-submitted.
-	if !s.st.Has(final.Key) {
-		t.Fatal("flaky job's profile missing from the store")
-	}
-}
-
-func TestTransientExhaustionFailsJob(t *testing.T) {
-	s, c := newTestServer(t, func(o *Options) {
-		o.MaxRetries = 1
-		o.RetryBase = time.Millisecond
-	})
-	spec := fastSpec("baseline")
-	spec.Chaos = "flaky=5"
-	st, err := c.Submit(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitTerminal(t, c, st.ID)
-	if final.State != StateFailed || !strings.Contains(final.Error, "flaky") {
-		t.Fatalf("state %s err %q, want failed with the injected error", final.State, final.Error)
-	}
-	if final.Attempt != 1 {
-		t.Fatalf("attempt = %d, want 1 (retry budget exhausted)", final.Attempt)
-	}
-	if got := must(t, s.Metrics().Counters, "jobs_retried_total"); got != 1 {
-		t.Fatalf("retried = %d, want 1", got)
-	}
-}
-
 // TestBreakerTripsFastFailsAndRecovers drives a spec that fails
 // permanently (the store directory is gone, so persisting the computed
 // profile fails) into the breaker, asserts fast-fail with Retry-After,
@@ -85,7 +32,7 @@ func TestBreakerTripsFastFailsAndRecovers(t *testing.T) {
 	}
 	s, err := New(Options{
 		Store: st, Workers: 1, QueueDepth: 8,
-		MaxRetries: -1, BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,
+		BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -488,6 +435,98 @@ func TestJournalRecoveryInProcess(t *testing.T) {
 	}
 	if seq, ok := parseJobSeq(j4.Status().ID); !ok || seq != 4 {
 		t.Fatalf("post-recovery id %s, want job-000004", j4.Status().ID)
+	}
+}
+
+// TestJournalRecordsQueuedThenTerminal: a plain job journals exactly
+// what recovery reads, its queued record (with the spec) and its
+// terminal record, and nothing in between.
+func TestJournalRecordsQueuedThenTerminal(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, store.JournalName)
+	jl, err := store.OpenJournal(jpath, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jl.Close() }) // after the server's shutdown
+	_, c := newTestServer(t, func(o *Options) { o.Journal = jl })
+	st, err := c.Submit(context.Background(), fastSpec("baseline"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustDone(t, c, st.ID)
+
+	rec, err := store.RecoverJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Records != 2 || rec.Duplicates != 0 || len(rec.Quarantined) != 0 {
+		t.Fatalf("records/duplicates/quarantined = %d/%d/%d, want 2/0/0",
+			rec.Records, rec.Duplicates, len(rec.Quarantined))
+	}
+	if len(rec.Jobs) != 1 {
+		t.Fatalf("journal holds %d jobs, want 1", len(rec.Jobs))
+	}
+	// Only a queued record carries the spec, so a job introduced with
+	// its spec and folded to done in two records was queued, then done.
+	jj := rec.Jobs[0]
+	if jj.ID != st.ID || jj.State != string(StateDone) || len(jj.Spec) == 0 || jj.Key != string(st.Key) {
+		t.Fatalf("journaled job = %+v, want %s queued with its spec, then done", jj, st.ID)
+	}
+}
+
+// TestRecoverRequeuesRunningRecords: a journal that still holds a
+// running record, as older journals do, recovers that job like a
+// queued one: re-enqueued from its queued record's spec.
+func TestRecoverRequeuesRunningRecords(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, store.JournalName)
+	n, err := fastSpec("baseline").Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl, err := store.OpenJournal(jpath, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []store.JournalRecord{
+		{ID: "job-000001", State: "queued", Key: string(n.Key()), Spec: b},
+		{ID: "job-000001", State: "running"},
+	} {
+		if err := jl.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jl.Close()
+	rec, err := store.RecoverJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(filepath.Join(dir, "profiles"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{Store: st, Workers: 1, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Recover(rec); err != nil {
+		t.Fatal(err)
+	}
+	j, ok := s.JobByID("job-000001")
+	if !ok {
+		t.Fatal("job with a running record not recovered")
+	}
+	if got := j.Status(); got.State != StateQueued || !got.Recovered || got.Key != n.Key() {
+		t.Fatalf("recovered job = %s (recovered %v, key %s), want re-enqueued under %s",
+			got.State, got.Recovered, got.Key, n.Key())
+	}
+	if got := must(t, s.Metrics().Counters, "jobs_recovered_total"); got != 1 {
+		t.Fatalf("recovered = %d, want 1", got)
 	}
 }
 

@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/progress"
 	"repro/internal/sched"
 	"repro/internal/store"
@@ -92,16 +91,8 @@ type Options struct {
 	// transition is logged before it is acknowledged, and Recover
 	// replays it after a crash. nil disables durability (tests, tools).
 	Journal *store.Journal
-	// MaxRetries bounds retries of transiently failed runs (beyond the
-	// first attempt). Negative disables retries; 0 means
-	// DefaultMaxRetries.
-	MaxRetries int
-	// RetryBase is the first retry backoff (0: 100ms); RetryCap caps
-	// the exponential growth (0: 5s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// BreakerThreshold is how many consecutive permanent failures of
-	// one spec trip its circuit breaker (0: DefaultBreakerThreshold;
+	// BreakerThreshold is how many consecutive failures of one spec
+	// trip its circuit breaker (0: DefaultBreakerThreshold;
 	// negative disables the breaker). BreakerCooldown is how long it
 	// stays open (0: DefaultBreakerCooldown).
 	BreakerThreshold int
@@ -114,9 +105,6 @@ type Options struct {
 	// and sweep/advise jobs publish lifecycle events only.
 	SnapshotEvery int
 }
-
-// DefaultMaxRetries is the retry bound when Options.MaxRetries is 0.
-const DefaultMaxRetries = 3
 
 // DefaultQueueDepth is the queue bound when Options.QueueDepth is 0.
 const DefaultQueueDepth = 128
@@ -131,9 +119,6 @@ type Server struct {
 	snapshotEvery int
 
 	jl               *store.Journal
-	maxRetries       int
-	retryBase        time.Duration
-	retryCap         time.Duration
 	breakerThreshold int
 	breakerCooldown  time.Duration
 
@@ -171,21 +156,6 @@ func New(opts Options) (*Server, error) {
 	if top <= 0 {
 		top = 5
 	}
-	retries := opts.MaxRetries
-	switch {
-	case retries == 0:
-		retries = DefaultMaxRetries
-	case retries < 0:
-		retries = 0
-	}
-	retryBase := opts.RetryBase
-	if retryBase <= 0 {
-		retryBase = 100 * time.Millisecond
-	}
-	retryCap := opts.RetryCap
-	if retryCap <= 0 {
-		retryCap = 5 * time.Second
-	}
 	threshold := opts.BreakerThreshold
 	switch {
 	case threshold == 0:
@@ -210,9 +180,6 @@ func New(opts Options) (*Server, error) {
 		beforeRun:        opts.BeforeRun,
 		snapshotEvery:    snapEvery,
 		jl:               opts.Journal,
-		maxRetries:       retries,
-		retryBase:        retryBase,
-		retryCap:         retryCap,
 		breakerThreshold: threshold,
 		breakerCooldown:  cooldown,
 		baseCtx:          ctx,
@@ -418,11 +385,10 @@ func (s *Server) workerLoop() {
 	}
 }
 
-// runJob executes one dequeued job through the store, retrying
-// transient failures with capped exponential backoff. The worker holds
-// the job across the whole retry schedule (a retrying job is still
-// "running" to the API), and each attempt is journaled so a crash
-// resumes the flaky schedule where it stopped.
+// runJob executes one dequeued job, once, through the store. The
+// journal records only what recovery reads: the job's queued record
+// (with its spec) was appended at submission, and its terminal record
+// is appended here; a crash in between re-enqueues it.
 func (s *Server) runJob(job *Job) {
 	started := time.Now()
 	s.m.queueWait.Observe(started.Sub(job.submitted))
@@ -440,35 +406,11 @@ func (s *Server) runJob(job *Job) {
 		h(job)
 	}
 
-	var (
-		outcome  State
-		errMsg   string
-		cacheHit bool
-		runErr   error
-	)
-	for {
-		attempt := job.attemptNow()
-		s.journalAppend(job, StateRunning, "", false, false)
-		ctx, span := telemetry.Start(job.ctx, "server.job_run",
-			telemetry.String("id", job.id), telemetry.String("workload", job.spec.Workload),
-			telemetry.Int("attempt", attempt))
-		outcome, errMsg, cacheHit, runErr = s.execute(ctx, job, attempt)
-		span.Annotate(telemetry.String("outcome", string(outcome)))
-		span.End()
-		if outcome != StateFailed || faults.Classify(runErr) != faults.Transient ||
-			attempt >= s.maxRetries || job.ctx.Err() != nil {
-			break
-		}
-		delay := backoffDelay(s.retryBase, s.retryCap, attempt, job.id)
-		s.m.retried.Inc()
-		s.log.Warn("transient failure, retrying", "id", job.id,
-			"attempt", attempt+1, "backoff", delay.Round(time.Millisecond).String(), "err", errMsg)
-		select {
-		case <-job.ctx.Done():
-		case <-time.After(delay):
-		}
-		job.bumpAttempt()
-	}
+	ctx, span := telemetry.Start(job.ctx, "server.job_run",
+		telemetry.String("id", job.id), telemetry.String("workload", job.spec.Workload))
+	outcome, errMsg, cacheHit, runErr := s.execute(ctx, job)
+	span.Annotate(telemetry.String("outcome", string(outcome)))
+	span.End()
 	// A cancel that won the race did its own accounting.
 	if !job.settle(outcome) {
 		return
@@ -482,7 +424,9 @@ func (s *Server) runJob(job *Job) {
 			"cache_hit", cacheHit, "elapsed", time.Since(started).Round(time.Millisecond).String())
 	case StateFailed:
 		s.m.failed.Inc()
-		if faults.Classify(runErr) == faults.Permanent {
+		// A cancellation or deadline says nothing about the spec; every
+		// other failure is deterministic and counts.
+		if !errors.Is(runErr, context.Canceled) && !errors.Is(runErr, context.DeadlineExceeded) {
 			s.breakerFailure(job.key)
 		}
 		s.log.Error("job failed", "id", job.id, "workload", job.spec.Workload, "err", errMsg)
@@ -497,20 +441,13 @@ func (s *Server) runJob(job *Job) {
 	job.publish(string(outcome))
 }
 
-// execute resolves one attempt to its outcome: a store hit, a fresh
-// run, a cancellation, or a failure. The raw error rides along for the
-// retry policy's fault classification.
-func (s *Server) execute(ctx context.Context, job *Job, attempt int) (State, string, bool, error) {
+// execute resolves a job to its outcome: a store hit, a fresh run, a
+// cancellation, or a failure. The raw error rides along for the
+// breaker, which does not count cancellations and deadlines.
+func (s *Server) execute(ctx context.Context, job *Job) (State, string, bool, error) {
 	if err := job.ctx.Err(); err != nil {
 		st, msg, hit := cancelOutcome(err)
 		return st, msg, hit, err
-	}
-	// Run-level fault injection (chaos "flaky=N"): fail the attempt
-	// before any work, and before the store, so nothing is poisoned.
-	if plan := job.spec.chaosPlan(); plan != nil {
-		if err := plan.RunError(attempt); err != nil {
-			return StateFailed, err.Error(), false, err
-		}
 	}
 	if job.spec.Advise {
 		return s.executeAdvise(ctx, job)

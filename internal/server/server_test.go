@@ -574,6 +574,33 @@ func TestJobTimeoutFails(t *testing.T) {
 	}
 }
 
+// TestJobTimeoutLeavesBreakerClosed: a deadline failure says nothing
+// about the spec, so even at a breaker threshold of one it does not
+// trip the breaker, and the spec's next submission is accepted.
+func TestJobTimeoutLeavesBreakerClosed(t *testing.T) {
+	s, _ := newTestServer(t, func(o *Options) {
+		o.Workers = 1
+		o.JobTimeout = 30 * time.Millisecond
+		o.BreakerThreshold = 1
+		o.BeforeRun = func(*Job) { time.Sleep(80 * time.Millisecond) }
+	})
+	spec := fastSpec("baseline")
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.done
+	if st := j.Status(); st.State != StateFailed || !strings.Contains(st.Error, "deadline") {
+		t.Fatalf("timed-out job = %s (%q), want failed with a deadline error", st.State, st.Error)
+	}
+	if _, err := s.Submit(spec); err != nil {
+		t.Fatalf("resubmission after a timeout refused: %v", err)
+	}
+	if got := must(t, s.Metrics().Counters, "jobs_breaker_trips_total"); got != 0 {
+		t.Fatalf("breaker trips = %d after a timeout, want 0", got)
+	}
+}
+
 func TestDiffEndpoint(t *testing.T) {
 	_, c := newTestServer(t, nil)
 	ctx := context.Background()

@@ -226,19 +226,6 @@ func (n *Spec) resolveShared() error {
 	return nil
 }
 
-// chaosPlan parses the spec's fault plan, nil when absent or invalid
-// (Normalize already rejected invalid plans at submission).
-func (s Spec) chaosPlan() *faults.Plan {
-	if s.Chaos == "" {
-		return nil
-	}
-	p, err := faults.ParsePlan(s.Chaos)
-	if err != nil {
-		return nil
-	}
-	return p
-}
-
 // validStrategy reports whether name is a known placement strategy.
 func validStrategy(name string) bool {
 	for _, st := range workloads.Strategies() {

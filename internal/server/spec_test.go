@@ -71,6 +71,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{"negative bins", Spec{Workload: "lulesh", Bins: -1}, "negative bin"},
 		{"negative iters", Spec{Workload: "lulesh", Iters: -2}, "negative iteration"},
 		{"bad chaos", Spec{Workload: "lulesh", Chaos: "drop=2.5"}, "faults:"},
+		{"flaky chaos key", Spec{Workload: "lulesh", Chaos: "flaky=1"}, "unknown plan key"},
 	}
 	for _, c := range cases {
 		_, err := c.spec.Normalize()

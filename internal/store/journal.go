@@ -1,9 +1,10 @@
 // Job journal: the write-ahead log that makes the numad daemon
-// crash-safe. Every job state transition is appended as one CRC-framed
-// record before the transition is acknowledged, so a daemon killed at
-// any instant — SIGKILL mid-burst included — can replay the log on
-// restart, rebuild its job table, and re-enqueue or resume every job
-// that had not reached a terminal state.
+// crash-safe. A job's queued record, carrying its spec, is appended as
+// one CRC-framed record before the job is acknowledged, and its
+// terminal record when it ends, so a daemon killed at any instant —
+// SIGKILL mid-burst included — can replay the log on restart, rebuild
+// its job table, and re-enqueue every job that had not reached a
+// terminal state.
 //
 // Frame format (one record per line):
 //
@@ -32,11 +33,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 
+	"repro/internal/profio"
 	"repro/internal/telemetry"
 )
 
@@ -58,16 +60,15 @@ type JournalRecord struct {
 	// ID is the job ID ("job-000042").
 	ID string `json:"id"`
 	// State is the job state this record moves to: queued, running,
-	// done, failed, or canceled.
+	// done, failed, or canceled. numad appends only queued and terminal
+	// records; a running record, which older journals hold, replays
+	// like a queued one.
 	State string `json:"state"`
 	// Key is the job's store key (sweep jobs: the sweep-spec hash).
 	Key string `json:"key,omitempty"`
 	// Spec is the normalized job spec JSON, carried on the introducing
 	// record.
 	Spec json.RawMessage `json:"spec,omitempty"`
-	// Attempt counts runs of this job (0 on first execution); running
-	// records carry it so recovery knows how many retries were spent.
-	Attempt int `json:"attempt,omitempty"`
 	// CacheHit and Err qualify terminal records.
 	CacheHit bool   `json:"cache_hit,omitempty"`
 	Err      string `json:"err,omitempty"`
@@ -188,7 +189,6 @@ type JournalJob struct {
 	State    string
 	Key      string
 	Spec     json.RawMessage
-	Attempt  int
 	CacheHit bool
 	Err      string
 }
@@ -326,7 +326,7 @@ func RecoverJournal(path string) (*RecoveredJournal, error) {
 			byID[r.ID] = len(rec.Jobs)
 			rec.Jobs = append(rec.Jobs, JournalJob{
 				ID: r.ID, State: r.State, Key: r.Key, Spec: r.Spec,
-				Attempt: r.Attempt, CacheHit: r.CacheHit, Err: r.Err,
+				CacheHit: r.CacheHit, Err: r.Err,
 			})
 			continue
 		}
@@ -349,9 +349,6 @@ func RecoverJournal(path string) (*RecoveredJournal, error) {
 		}
 		if len(r.Spec) > 0 {
 			j.Spec = r.Spec
-		}
-		if r.Attempt > j.Attempt {
-			j.Attempt = r.Attempt
 		}
 		j.CacheHit = r.CacheHit
 		j.Err = r.Err
@@ -404,54 +401,34 @@ func AppendQuarantine(path string, recs []QuarantinedRecord) error {
 // CompactJournal atomically rewrites the journal to one record per
 // terminal job (non-terminal jobs are re-journaled by the server as it
 // re-enqueues them, so they are deliberately excluded here). The
-// rewrite reuses profio's temp+rename discipline: a crash mid-compact
-// leaves the previous journal intact.
+// rewrite goes through profio.AtomicWrite: a crash mid-compact leaves
+// the previous journal intact.
 func CompactJournal(path string, rec *RecoveredJournal) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("store: compact journal: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	w := bufio.NewWriter(tmp)
-	if _, err := fmt.Fprintln(w, journalMagic); err != nil {
-		return err
-	}
-	seq := uint64(0)
-	for _, j := range rec.Jobs {
-		if !j.Terminal() {
-			continue
-		}
-		seq++
-		body, err := json.Marshal(&JournalRecord{
-			Seq: seq, ID: j.ID, State: j.State, Key: j.Key, Spec: j.Spec,
-			Attempt: j.Attempt, CacheHit: j.CacheHit, Err: j.Err,
-		})
-		if err != nil {
-			return fmt.Errorf("store: compact journal: %w", err)
-		}
-		if _, err := fmt.Fprintf(w, "%08x %s\n", crc32.ChecksumIEEE(body), body); err != nil {
+	err := profio.AtomicWrite(path, func(f io.Writer) error {
+		w := bufio.NewWriter(f)
+		if _, err := fmt.Fprintln(w, journalMagic); err != nil {
 			return err
 		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		tmp = nil
-		return err
-	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
+		seq := uint64(0)
+		for _, j := range rec.Jobs {
+			if !j.Terminal() {
+				continue
+			}
+			seq++
+			body, err := json.Marshal(&JournalRecord{
+				Seq: seq, ID: j.ID, State: j.State, Key: j.Key, Spec: j.Spec,
+				CacheHit: j.CacheHit, Err: j.Err,
+			})
+			if err != nil {
+				return err
+			}
+			if _, err := fmt.Fprintf(w, "%08x %s\n", crc32.ChecksumIEEE(body), body); err != nil {
+				return err
+			}
+		}
+		return w.Flush()
+	})
+	if err != nil {
 		return fmt.Errorf("store: compact journal: %w", err)
 	}
 	return nil

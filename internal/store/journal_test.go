@@ -42,7 +42,7 @@ func TestJournalAppendRecoverRoundTrip(t *testing.T) {
 	spec := json.RawMessage(`{"workload":"blackscholes"}`)
 	appendRecords(t, path,
 		JournalRecord{ID: "job-000001", State: "queued", Key: "k1", Spec: spec},
-		JournalRecord{ID: "job-000001", State: "running", Attempt: 0},
+		JournalRecord{ID: "job-000001", State: "running"},
 		JournalRecord{ID: "job-000002", State: "queued", Key: "k2", Spec: spec},
 		JournalRecord{ID: "job-000001", State: "done", CacheHit: true},
 	)

@@ -22,14 +22,6 @@ func (c Cycles) Scale(factor float64) Cycles {
 	return Cycles(float64(c)*factor + 0.5)
 }
 
-// Seconds converts a cycle count to seconds at the given clock rate.
-func (c Cycles) Seconds(clockGHz float64) float64 {
-	if clockGHz <= 0 {
-		return 0
-	}
-	return float64(c) / (clockGHz * 1e9)
-}
-
 func (c Cycles) String() string { return fmt.Sprintf("%d cyc", uint64(c)) }
 
 // Bytes is a size in bytes.

@@ -25,16 +25,6 @@ func TestCyclesScale(t *testing.T) {
 	}
 }
 
-func TestCyclesSeconds(t *testing.T) {
-	var c Cycles = 2_000_000_000
-	if got := c.Seconds(2.0); got != 1.0 {
-		t.Errorf("Seconds = %v, want 1.0", got)
-	}
-	if got := c.Seconds(0); got != 0 {
-		t.Errorf("Seconds with zero clock = %v, want 0", got)
-	}
-}
-
 func TestBytesString(t *testing.T) {
 	cases := []struct {
 		b    Bytes
