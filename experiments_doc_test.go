@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/pmu"
+	"repro/internal/server"
 )
 
 // TestExperimentsDocMatchesTable2 parses the T2 table in EXPERIMENTS.md
@@ -61,6 +63,24 @@ func TestExperimentsDocMatchesA1(t *testing.T) {
 	}
 }
 
+// TestExperimentsDocMatchesLULESHEstimate pins the LULESH pair quoted
+// in "Validation of the estimators": the estimated and exact lpi_NUMA
+// of numaprof's default LULESH run, as the CLI prints them.
+func TestExperimentsDocMatchesLULESHEstimate(t *testing.T) {
+	cfg, app, err := server.Spec{Workload: "lulesh"}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.Analyze(cfg, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("lpi_NUMA %.3f (exact %.3f)", p.Totals.LPI, p.Totals.LPIExact)
+	if section := docSection(t, "Validation of the estimators"); !strings.Contains(section, "`"+got+"`") {
+		t.Errorf("EXPERIMENTS.md's estimator validation does not quote `%s`", got)
+	}
+}
+
 // docPct is a cell's measured value: the first signed percentage.
 var docPct = regexp.MustCompile(`[+-]\d+\.\d%`)
 
@@ -87,19 +107,7 @@ func parseDocTable2(t *testing.T) map[string]string {
 // "## " heading starts with id.
 func parseDocTable(t *testing.T, id string) (header []string, rows [][]string) {
 	t.Helper()
-	doc, err := os.ReadFile("EXPERIMENTS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := strings.Index(string(doc), "\n## "+id)
-	if start < 0 {
-		t.Fatalf("EXPERIMENTS.md has no %s section", id)
-	}
-	section := string(doc[start+1:])
-	if end := strings.Index(section, "\n## "); end >= 0 {
-		section = section[:end]
-	}
-	for _, line := range strings.Split(section, "\n") {
+	for _, line := range strings.Split(docSection(t, id), "\n") {
 		if !strings.HasPrefix(line, "|") {
 			continue
 		}
@@ -116,4 +124,23 @@ func parseDocTable(t *testing.T, id string) (header []string, rows [][]string) {
 		}
 	}
 	return header, rows
+}
+
+// docSection returns the EXPERIMENTS.md section whose "## " heading
+// starts with id, up to the next such heading.
+func docSection(t *testing.T, id string) string {
+	t.Helper()
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := strings.Index(string(doc), "\n## "+id)
+	if start < 0 {
+		t.Fatalf("EXPERIMENTS.md has no %s section", id)
+	}
+	section := string(doc[start+1:])
+	if end := strings.Index(section, "\n## "); end >= 0 {
+		section = section[:end]
+	}
+	return section
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/datacentric"
 	"repro/internal/faults"
 	"repro/internal/pmu"
 	"repro/internal/proc"
@@ -44,7 +45,9 @@ type Spec struct {
 	Strategy string `json:"strategy,omitempty"`
 	// Period overrides the mechanism's sampling period (0: default).
 	Period uint64 `json:"period,omitempty"`
-	// Bins overrides the per-variable bin count (0: default).
+	// Bins overrides the per-variable bin count, at most
+	// datacentric.MaxBins (0: $NUMAPROF_BINS, else the paper's 5).
+	// Normalize writes the count the run uses.
 	Bins int `json:"bins,omitempty"`
 	// Iters overrides the workload's iteration count (0: default).
 	Iters int `json:"iters,omitempty"`
@@ -184,7 +187,9 @@ func (s Spec) normalizeSweep() (Spec, error) {
 // share: the mechanism (default IBS), the machine (default the
 // mechanism's Table 1 testbed, as in the CLI), the binding, the thread,
 // bin and iteration counts, the chaos plan and first-touch tracking
-// (default on, the CLI default).
+// (default on, the CLI default). An unset bin count resolves from
+// NUMAPROF_BINS here, once, so the count is part of the spec that Key
+// hashes and Build runs.
 func (n *Spec) resolveShared() error {
 	if n.Mechanism == "" {
 		n.Mechanism = "IBS"
@@ -210,6 +215,12 @@ func (n *Spec) resolveShared() error {
 	}
 	if n.Bins < 0 {
 		return fmt.Errorf("negative bin count %d", n.Bins)
+	}
+	if n.Bins > datacentric.MaxBins {
+		return fmt.Errorf("bin count %d exceeds the maximum of %d", n.Bins, datacentric.MaxBins)
+	}
+	if n.Bins == 0 {
+		n.Bins = datacentric.BinsFromEnv()
 	}
 	if n.Iters < 0 {
 		return fmt.Errorf("negative iteration count %d", n.Iters)
@@ -263,10 +274,15 @@ func (s Spec) Cells() ([]Spec, error) {
 }
 
 // Key content-addresses the spec: the SHA-256 of the canonical
-// (normalized, field-order-fixed) JSON encoding. Normalize must have
-// succeeded for the key to be meaningful.
+// (normalized, field-order-fixed) JSON encoding. The default bin count
+// hashes as an absent field, so every spec that runs with
+// datacentric.DefaultBins keeps the key it had before bin counts were
+// resolved. Normalize must have succeeded for the key to be meaningful.
 func (s Spec) Key() store.Key {
 	n, _ := s.Normalize()
+	if n.Bins == datacentric.DefaultBins {
+		n.Bins = 0
+	}
 	b, _ := json.Marshal(n) // struct marshal: fixed field order, cannot fail
 	h := sha256.Sum256(b)
 	return store.Key(hex.EncodeToString(h[:]))

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/datacentric"
 )
 
 func TestNormalizeResolvesDefaults(t *testing.T) {
@@ -69,6 +72,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{"unknown strategy", Spec{Workload: "lulesh", Strategy: "wishful"}, "unknown strategy"},
 		{"negative threads", Spec{Workload: "lulesh", Threads: -1}, "negative thread"},
 		{"negative bins", Spec{Workload: "lulesh", Bins: -1}, "negative bin"},
+		{"too many bins", Spec{Workload: "lulesh", Bins: datacentric.MaxBins + 1}, "exceeds the maximum"},
 		{"negative iters", Spec{Workload: "lulesh", Iters: -2}, "negative iteration"},
 		{"bad chaos", Spec{Workload: "lulesh", Chaos: "drop=2.5"}, "faults:"},
 		{"flaky chaos key", Spec{Workload: "lulesh", Chaos: "flaky=1"}, "unknown plan key"},
@@ -139,5 +143,57 @@ func TestBuildMatchesCLISemantics(t *testing.T) {
 	}
 	if cfg.Machine == nil || cfg.Mechanism != "IBS" || !cfg.TrackFirstTouch {
 		t.Fatalf("config not CLI-equivalent: %+v", cfg)
+	}
+}
+
+// defaultBlackscholesKey is the key of Spec{Workload: "blackscholes"}
+// run with datacentric.DefaultBins bins; every stored default-bin
+// profile is filed under keys computed this way.
+const defaultBlackscholesKey = "6fe7d58e80eeac4995d392a24f2f9e71a01bb3b01cc410a8ffb641763e4b1b84"
+
+// TestBinsResolvedIntoKeyAndBuild: the bin count a spec runs with is
+// the one its key hashes. An unset count resolves from NUMAPROF_BINS;
+// any spec that runs with the default count keeps the default key,
+// and an explicit count wins over the environment, also when the
+// normalized spec is keyed and built again.
+func TestBinsResolvedIntoKeyAndBuild(t *testing.T) {
+	unset := Spec{Workload: "blackscholes"}
+	five := Spec{Workload: "blackscholes", Bins: datacentric.DefaultBins}
+
+	t.Setenv(datacentric.BinsEnvVar, "")
+	if err := os.Unsetenv(datacentric.BinsEnvVar); err != nil {
+		t.Fatal(err)
+	}
+	if k := unset.Key(); k != defaultBlackscholesKey {
+		t.Fatalf("unset env: key %s, want the default %s", k, defaultBlackscholesKey)
+	}
+	if k := five.Key(); k != defaultBlackscholesKey {
+		t.Fatalf("explicit bins 5: key %s, want the default %s", k, defaultBlackscholesKey)
+	}
+
+	t.Setenv(datacentric.BinsEnvVar, "5")
+	if k := unset.Key(); k != defaultBlackscholesKey {
+		t.Fatalf("NUMAPROF_BINS=5: key %s, want the default %s", k, defaultBlackscholesKey)
+	}
+
+	t.Setenv(datacentric.BinsEnvVar, "8")
+	if k := unset.Key(); k == defaultBlackscholesKey {
+		t.Fatal("NUMAPROF_BINS=8 kept the default key for a spec that runs with 8 bins")
+	}
+	if cfg, _, err := unset.Build(); err != nil || cfg.Bins != 8 {
+		t.Fatalf("NUMAPROF_BINS=8, unset bins: Config.Bins = %d (%v), want 8", cfg.Bins, err)
+	}
+	n, err := five.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]Spec{"explicit": five, "normalized": n} {
+		if k := s.Key(); k != defaultBlackscholesKey {
+			t.Errorf("NUMAPROF_BINS=8, %s bins 5: key %s, want the default %s", name, k, defaultBlackscholesKey)
+		}
+		cfg, _, err := s.Build()
+		if err != nil || cfg.Bins != datacentric.DefaultBins {
+			t.Errorf("NUMAPROF_BINS=8, %s bins 5: Config.Bins = %d (%v), want 5", name, cfg.Bins, err)
+		}
 	}
 }
