@@ -28,7 +28,6 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{"unknown binding", "unknown binding", server.Spec{Workload: "lulesh", Binding: "diagonal"}},
 		{"unknown mechanism", "unknown mechanism", server.Spec{Workload: "lulesh", Mechanism: "XYZ"}},
 		{"bad chaos plan", "faults:", server.Spec{Workload: "lulesh", Chaos: "drop=2.5"}},
-		{"bin count past profio's bound", "exceeds the maximum", server.Spec{Workload: "lulesh", Bins: 5000}},
 	}
 	for _, c := range cases {
 		c.spec.Iters, c.spec.FirstTouch = 1, noFirstTouch

@@ -475,67 +475,14 @@ func TestJournalRecordsQueuedThenTerminal(t *testing.T) {
 	}
 }
 
-// TestRecoverRequeuesRunningRecords: a journal that still holds a
-// running record, as older journals do, recovers that job like a
-// queued one: re-enqueued from its queued record's spec.
-func TestRecoverRequeuesRunningRecords(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, store.JournalName)
-	n, err := fastSpec("baseline").Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jl, err := store.OpenJournal(jpath, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []store.JournalRecord{
-		{ID: "job-000001", State: "queued", Key: string(n.Key()), Spec: b},
-		{ID: "job-000001", State: "running"},
-	} {
-		if err := jl.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jl.Close()
-	rec, err := store.RecoverJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(filepath.Join(dir, "profiles"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Options{Store: st, Workers: 1, QueueDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Recover(rec); err != nil {
-		t.Fatal(err)
-	}
-	j, ok := s.JobByID("job-000001")
-	if !ok {
-		t.Fatal("job with a running record not recovered")
-	}
-	if got := j.Status(); got.State != StateQueued || !got.Recovered || got.Key != n.Key() {
-		t.Fatalf("recovered job = %s (recovered %v, key %s), want re-enqueued under %s",
-			got.State, got.Recovered, got.Key, n.Key())
-	}
-	if got := must(t, s.Metrics().Counters, "jobs_recovered_total"); got != 1 {
-		t.Fatalf("recovered = %d, want 1", got)
-	}
-}
-
 // TestRecoverFailuresSurviveNextBoot: a journaled job that Recover
 // cannot re-run (spec lost, or no room left in the queue) is failed on
 // the first boot and must still be served as failed, with the same
 // error, after a second boot over the same journal. Boot-time
 // compaction drops the job's non-terminal records, so only a journaled
-// terminal record keeps the job and its ID alive.
+// terminal record keeps the job and its ID alive. The re-enqueued job
+// ends on a running record, as jobs in older journals do, and is
+// re-enqueued like a queued one.
 func TestRecoverFailuresSurviveNextBoot(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, store.JournalName)
@@ -560,6 +507,7 @@ func TestRecoverFailuresSurviveNextBoot(t *testing.T) {
 	}
 	for _, r := range []store.JournalRecord{
 		queued("job-000003", "baseline"),     // fills the one queue slot
+		{ID: "job-000003", State: "running"}, // an older journal's record
 		queued("job-000005", "interleave"),   // finds the queue full
 		{ID: "job-000007", State: "running"}, // its spec record was lost
 	} {

@@ -87,9 +87,10 @@ type Options struct {
 	// and before the job executes. Tests use it to hold a job in the
 	// running state deterministically.
 	BeforeRun func(*Job)
-	// Journal, when set, is the write-ahead job journal: every state
-	// transition is logged before it is acknowledged, and Recover
-	// replays it after a crash. nil disables durability (tests, tools).
+	// Journal, when set, is the write-ahead job journal: a job's queued
+	// record is logged before the submission is acknowledged and its
+	// terminal record when it ends, and Recover replays it after a
+	// crash. nil disables durability (tests, tools).
 	Journal *store.Journal
 	// BreakerThreshold is how many consecutive failures of one spec
 	// trip its circuit breaker (0: DefaultBreakerThreshold;

@@ -558,10 +558,15 @@ func TestCancelAgainstSettle(t *testing.T) {
 	}
 }
 
+// TestJobTimeoutFails: a job past its deadline fails with a deadline
+// error. A deadline says nothing about the spec, so even at a breaker
+// threshold of one the failure leaves the breaker closed, and the
+// spec's next submission is accepted.
 func TestJobTimeoutFails(t *testing.T) {
-	_, c := newTestServer(t, func(o *Options) {
+	s, c := newTestServer(t, func(o *Options) {
 		o.Workers = 1
 		o.JobTimeout = 30 * time.Millisecond
+		o.BreakerThreshold = 1
 		o.BeforeRun = func(*Job) { time.Sleep(80 * time.Millisecond) }
 	})
 	ctx := context.Background()
@@ -572,28 +577,7 @@ func TestJobTimeoutFails(t *testing.T) {
 	if st := waitTerminal(t, c, j.ID); st.State != StateFailed || !strings.Contains(st.Error, "deadline") {
 		t.Fatalf("timed-out job = %s (%q), want failed with a deadline error", st.State, st.Error)
 	}
-}
-
-// TestJobTimeoutLeavesBreakerClosed: a deadline failure says nothing
-// about the spec, so even at a breaker threshold of one it does not
-// trip the breaker, and the spec's next submission is accepted.
-func TestJobTimeoutLeavesBreakerClosed(t *testing.T) {
-	s, _ := newTestServer(t, func(o *Options) {
-		o.Workers = 1
-		o.JobTimeout = 30 * time.Millisecond
-		o.BreakerThreshold = 1
-		o.BeforeRun = func(*Job) { time.Sleep(80 * time.Millisecond) }
-	})
-	spec := fastSpec("baseline")
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-j.done
-	if st := j.Status(); st.State != StateFailed || !strings.Contains(st.Error, "deadline") {
-		t.Fatalf("timed-out job = %s (%q), want failed with a deadline error", st.State, st.Error)
-	}
-	if _, err := s.Submit(spec); err != nil {
+	if _, err := c.Submit(ctx, fastSpec("baseline")); err != nil {
 		t.Fatalf("resubmission after a timeout refused: %v", err)
 	}
 	if got := must(t, s.Metrics().Counters, "jobs_breaker_trips_total"); got != 0 {
