@@ -275,9 +275,10 @@ func (s Spec) Cells() ([]Spec, error) {
 
 // Key content-addresses the spec: the SHA-256 of the canonical
 // (normalized, field-order-fixed) JSON encoding. The default bin count
-// hashes as an absent field, so every spec that runs with
-// datacentric.DefaultBins keeps the key it had before bin counts were
-// resolved. Normalize must have succeeded for the key to be meaningful.
+// hashes as an absent field: every spec that runs with
+// datacentric.DefaultBins bins, whether it set the count or not, has
+// the key stored default-bin profiles are filed under. Normalize must
+// have succeeded for the key to be meaningful.
 func (s Spec) Key() store.Key {
 	n, _ := s.Normalize()
 	if n.Bins == datacentric.DefaultBins {
